@@ -12,7 +12,6 @@ from .core import (
     EmbeddingField,
     Grid2D,
     LabelMap,
-    ProbMap,
     relabel_contiguous,
     validate_pair,
 )
@@ -26,19 +25,14 @@ from .errors import (
     FormatError,
     InfeasibleLayout,
     InstanceEmbedError,
-    MissingTerm,
     NoGroundTruth,
     NonFiniteLoss,
     OriginOnBackground,
 )
 from .losses import (
-    CompositeWeights,
     DiscriminativeConfig,
     LossBreakdown,
-    bce_loss,
     cluster_means,
-    composite_loss,
-    dice_loss,
     discriminative_grad,
     discriminative_loss,
 )
@@ -107,7 +101,6 @@ __all__ = [
     "EmbeddingField",
     "Grid2D",
     "LabelMap",
-    "ProbMap",
     "relabel_contiguous",
     "validate_pair",
     "ConfigError",
@@ -119,17 +112,12 @@ __all__ = [
     "FormatError",
     "InfeasibleLayout",
     "InstanceEmbedError",
-    "MissingTerm",
     "NoGroundTruth",
     "NonFiniteLoss",
     "OriginOnBackground",
-    "CompositeWeights",
     "DiscriminativeConfig",
     "LossBreakdown",
-    "bce_loss",
     "cluster_means",
-    "composite_loss",
-    "dice_loss",
     "discriminative_grad",
     "discriminative_loss",
     "OptimizationTrace",

@@ -113,16 +113,7 @@ def _run_clustering(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: 
     normalized = normalize_field(emb, mask)
     x_points, index = flatten_foreground(normalized, mask)
     search = mean_shift_modes(x_points, cfg.cluster)
-    if search.modes.shape[0] == 0:
-        from .clustering import ClusterResult
-        from .core import Grid2D
-
-        grid = np.full((index.height, index.width), -1, dtype=np.int64)
-        result = ClusterResult(
-            np.zeros((0, normalized.dim)), Grid2D(grid), 0, np.zeros(0, dtype=np.int64)
-        )
-    else:
-        result = assign_to_modes(x_points, index, search.modes, cfg.cluster)
+    result = assign_to_modes(x_points, index, search.modes, cfg.cluster)
     fileio.write_labels(out / "instances.pgm", LabelMap(result.assignment.values + 1))
     fileio.write_json(
         out / "modes.json",

@@ -9,7 +9,6 @@ recovered modes is purely a property of the data and the kernel width.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,8 @@ import numpy as np
 from .core import BinaryMask, EmbeddingField, Grid2D, validate_pair
 from .errors import DegenerateShift, EmptyForeground
 
-# Seeds are iterated in fixed-size blocks so that the parallel and the
-# sequential paths perform identical floating-point operations.
+# Seeds are iterated in fixed-size blocks, which bounds the block x n dot and
+# kernel-weight matrices.
 _SEED_BLOCK = 64
 
 
@@ -38,7 +37,6 @@ class VmfConfig:
     merge_tolerance: float = 0.1
     seed_stride: int = 1
     min_cluster_pixels: int = 16
-    parallel_seeds: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.kappa) or self.kappa <= 0:
@@ -184,13 +182,11 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     """
     if x_points.ndim != 2 or x_points.shape[0] == 0:
         raise ValueError("point matrix must be non-empty (n, D)")
-    seeds = x_points[:: cfg.seed_stride].copy()
-    blocks = [seeds[i : i + _SEED_BLOCK] for i in range(0, seeds.shape[0], _SEED_BLOCK)]
-    if cfg.parallel_seeds and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(blocks))) as pool:
-            results = list(pool.map(lambda b: _iterate_block(x_points, b, cfg), blocks))
-    else:
-        results = [_iterate_block(x_points, b, cfg) for b in blocks]
+    seeds = x_points[:: cfg.seed_stride]
+    results = [
+        _iterate_block(x_points, seeds[i : i + _SEED_BLOCK], cfg)
+        for i in range(0, seeds.shape[0], _SEED_BLOCK)
+    ]
     endpoints = np.concatenate([r[0] for r in results], axis=0)
     dropped = np.concatenate([r[1] for r in results], axis=0)
 
@@ -248,18 +244,18 @@ def assign_to_modes(
 
     Clusters owning fewer than min_cluster_pixels pixels are dissolved and
     their pixels reassigned to the nearest surviving mode; ties go to the
-    lowest mode index. With no survivor at all, every pixel is left
-    unassigned (-1).
+    lowest mode index. With no mode or no survivor at all, every pixel is
+    left unassigned (-1).
     """
-    if modes.ndim != 2 or modes.shape[0] == 0:
-        raise ValueError("modes must be non-empty (M, D)")
+    if modes.ndim != 2:
+        raise ValueError("modes must be an (M, D) matrix")
     n_modes = modes.shape[0]
-    dots = x_points @ modes.T
-    assign = np.argmax(dots, axis=1)
-    counts = np.bincount(assign, minlength=n_modes)
-    keep = counts >= cfg.min_cluster_pixels
-
     grid = np.full(index.height * index.width, -1, dtype=np.int64)
+    keep = np.zeros(n_modes, dtype=bool)
+    if n_modes:
+        dots = x_points @ modes.T
+        assign = np.argmax(dots, axis=1)
+        keep = np.bincount(assign, minlength=n_modes) >= cfg.min_cluster_pixels
     if not keep.any():
         empty = np.zeros((0, modes.shape[1]))
         return ClusterResult(
@@ -292,9 +288,4 @@ def cluster_field(emb: EmbeddingField, mask: BinaryMask, cfg: VmfConfig) -> Clus
         emb = normalize_field(emb, mask)
     x_points, index = flatten_foreground(emb, mask)
     search = mean_shift_modes(x_points, cfg)
-    if search.modes.shape[0] == 0:
-        grid = np.full((index.height, index.width), -1, dtype=np.int64)
-        return ClusterResult(
-            np.zeros((0, emb.dim)), Grid2D(grid), 0, np.zeros(0, dtype=np.int64)
-        )
     return assign_to_modes(x_points, index, search.modes, cfg)

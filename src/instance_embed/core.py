@@ -129,32 +129,6 @@ class LabelMap:
 
 
 @dataclass(frozen=True)
-class ProbMap:
-    """H x W grid of probabilities in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"ProbMap values must be (H, W), got ndim {arr.ndim}")
-        _check_plane(arr, "ProbMap")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("ProbMap values must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("ProbMap values must lie in [0, 1]")
-        object.__setattr__(self, "values", _freeze(arr, np.float64))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class BinaryMask:
     """H x W grid of {0, 1}."""
 

@@ -50,10 +50,6 @@ class InfeasibleLayout(InstanceEmbedError):
     """Scene constraints cannot fit inside the requested canvas."""
 
 
-class MissingTerm(InstanceEmbedError):
-    """A composite-loss weight references a term that was not supplied."""
-
-
 class ConfigError(InstanceEmbedError):
     """A configuration document is malformed or violates a constraint."""
 

@@ -9,19 +9,17 @@ embeddings and its exact analytic gradient:
   total = alpha*l_var + beta*l_dist + gamma*l_reg.
 
 Both hinges are squared and averaged (per instance, then over instances for
-l_var; over ordered pairs for l_dist). Dice and binary cross-entropy losses
-for dense segmentation heads live here too, plus a generic weighted combiner.
+l_var; over ordered pairs for l_dist).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .core import BinaryMask, EmbeddingField, LabelMap, ProbMap, validate_pair
-from .errors import EmptyInstance, MissingTerm
+from .core import EmbeddingField, LabelMap, validate_pair
+from .errors import EmptyInstance
 
 # Gradient of a scalar loss w.r.t. every pixel embedding, shaped (H, W, D).
 # Background rows are exactly zero.
@@ -63,95 +61,57 @@ class LossBreakdown:
 
 
 @dataclass(frozen=True)
-class CompositeWeights:
-    """Named non-negative weights for a weighted-sum loss combination."""
+class _LabelPlan:
+    """Foreground layout of a label map; fixed while its embeddings move."""
 
-    weights: Mapping[str, float]
-
-    def __post_init__(self):
-        frozen = dict(self.weights)
-        for name, v in frozen.items():
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"weight {name!r} must be finite and >= 0, got {v}")
-        object.__setattr__(self, "weights", frozen)
+    fg: np.ndarray  # (n,) raveled pixel index of each foreground pixel
+    ids: np.ndarray  # (n,) 0-based instance index of each foreground pixel
+    counts: np.ndarray  # (C,) pixels per instance, as float64
 
 
-def _instance_stats(emb_values: np.ndarray, label_values: np.ndarray):
-    """Flatten foreground pixels and compute per-instance counts and means.
+def _plan_labels(label_values: np.ndarray) -> _LabelPlan:
+    """Index the foreground of a label map once for any number of loss calls.
 
-    Returns (ids, pts, counts, means) where ids are 0-based instance indices
-    of the foreground pixels, pts their embeddings (n, D), counts (C,) and
-    means (C, D). Raises EmptyInstance when some ID in 1..C has no pixels.
+    Raises EmptyInstance when there is no foreground or some ID in 1..C has
+    no pixels.
     """
     labels_flat = label_values.ravel()
     c = int(labels_flat.max(initial=0))
     if c == 0:
         raise EmptyInstance("label map has no foreground instances")
-    fg = labels_flat > 0
+    fg = np.flatnonzero(labels_flat)
     ids = labels_flat[fg] - 1
     counts = np.bincount(ids, minlength=c)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0]) + 1
         raise EmptyInstance(f"instance ID {missing} owns zero pixels")
-    d = emb_values.shape[2]
-    pts = emb_values.reshape(-1, d)[fg]
-    sums = np.zeros((c, d), dtype=np.float64)
-    np.add.at(sums, ids, pts)
-    means = sums / counts[:, None]
-    return ids, pts, counts, means
+    return _LabelPlan(fg, ids, counts.astype(np.float64))
 
 
-def cluster_means(emb: EmbeddingField, labels: LabelMap) -> np.ndarray:
-    """Arithmetic mean embedding of each instance, shaped (C, D)."""
-    validate_pair(emb, labels)
-    _, _, _, means = _instance_stats(emb.values, labels.values)
-    return means
+def _segment_sum(plan: _LabelPlan, rows: np.ndarray) -> np.ndarray:
+    """Per-instance sums of the rows of an (n, D) matrix, shaped (C, D)."""
+    c = plan.counts.size
+    return np.stack(
+        [np.bincount(plan.ids, weights=col, minlength=c) for col in rows.T], axis=1
+    )
 
 
-def _breakdown_arrays(
-    emb_values: np.ndarray, label_values: np.ndarray, cfg: DiscriminativeConfig
-) -> LossBreakdown:
-    """Loss terms from raw arrays; the fast path shared with finite differences."""
-    ids, pts, counts, means = _instance_stats(emb_values, label_values)
+def _foreground_means(emb_values: np.ndarray, plan: _LabelPlan):
+    """Foreground embeddings (n, D) and the instance means (C, D)."""
+    pts = emb_values.reshape(-1, emb_values.shape[2])[plan.fg]
+    return pts, _segment_sum(plan, pts) / plan.counts[:, None]
+
+
+def _value_and_grad(emb_values: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
+    """Loss terms and their exact gradient w.r.t. every pixel embedding.
+
+    The gradient differentiates through the instance means. Hinge boundaries
+    and the regularizer at mu = 0 take the zero subgradient. Background
+    pixels get exactly zero.
+    """
+    ids, counts = plan.ids, plan.counts
     c = counts.size
-
-    diff = means[ids] - pts
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    hinge = np.maximum(dist - cfg.delta_v, 0.0)
-    per_instance = np.bincount(ids, weights=hinge * hinge, minlength=c) / counts
-    l_var = float(per_instance.mean())
-
-    if c > 1:
-        gram = means @ means.T
-        sq = np.diag(gram)
-        pair_sq = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-        sep = np.sqrt(pair_sq)
-        h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
-        np.fill_diagonal(h, 0.0)
-        l_dist = float((h * h).sum() / (c * (c - 1)))
-    else:
-        l_dist = 0.0
-
-    l_reg = float(np.sqrt(np.einsum("ij,ij->i", means, means)).mean())
-    total = cfg.alpha * l_var + cfg.beta * l_dist + cfg.gamma * l_reg
-    return LossBreakdown(l_var, l_dist, l_reg, float(total))
-
-
-def discriminative_loss(
-    emb: EmbeddingField, labels: LabelMap, cfg: DiscriminativeConfig
-) -> LossBreakdown:
-    """Evaluate all three terms of the discriminative loss."""
-    validate_pair(emb, labels)
-    return _breakdown_arrays(emb.values, labels.values, cfg)
-
-
-def _grad_arrays(
-    emb_values: np.ndarray, label_values: np.ndarray, cfg: DiscriminativeConfig
-) -> np.ndarray:
-    ids, pts, counts, means = _instance_stats(emb_values, label_values)
-    c = counts.size
-    n, d = pts.shape
-    grad_pts = np.zeros((n, d), dtype=np.float64)
+    pts, means = _foreground_means(emb_values, plan)
 
     # Pull term. For pixel k of instance c with d_i = mu_c - x_i,
     # h_i = [|d_i| - delta_v]+ and unit directions dhat_i:
@@ -159,45 +119,61 @@ def _grad_arrays(
     diff = means[ids] - pts
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     hinge = np.maximum(dist - cfg.delta_v, 0.0)
+    l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
     active = hinge > 0.0
     dhat = np.zeros_like(diff)
-    if active.any():
-        dhat[active] = diff[active] / dist[active, None]
-    hd = hinge[:, None] * dhat
-    s_c = np.zeros((c, d), dtype=np.float64)
-    np.add.at(s_c, ids, hd)
-    scale = 2.0 / (c * counts.astype(np.float64))
-    grad_pts += cfg.alpha * scale[ids, None] * (s_c[ids] / counts[ids, None] - hd)
+    dhat[active] = diff[active] / dist[active, None]
+    # An overflowed distance gives inf * 0 here, and then l_var is inf too.
+    with np.errstate(invalid="ignore"):
+        hd = hinge[:, None] * dhat
+    s_c = _segment_sum(plan, hd)
+    scale = 2.0 / (c * counts)
+    grad_pts = cfg.alpha * scale[ids, None] * (s_c[ids] / counts[ids, None] - hd)
 
     # Push term. For pixel k of instance A:
     #   dL/dx_k = -4/(C*(C-1)*n_A) * sum_{B != A} [2*delta_d - s_AB]+ * e_AB
     # with e_AB the unit vector from mu_B to mu_A.
+    l_dist = 0.0
     if c > 1:
         gram = means @ means.T
         sq = np.diag(gram)
-        pair_sq = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-        sep = np.sqrt(pair_sq)
+        sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
         h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
         np.fill_diagonal(h, 0.0)
+        l_dist = float((h * h).sum() / (c * (c - 1)))
         # unit difference directions e_AB, zero where the hinge is inactive
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = np.where((h > 0.0) & (sep > 0.0), h / sep, 0.0)
         acc = coef.sum(axis=1)[:, None] * means - coef @ means
-        per_mean = -4.0 / (c * (c - 1) * counts.astype(np.float64))[:, None] * acc
+        per_mean = -4.0 / (c * (c - 1) * counts)[:, None] * acc
         grad_pts += cfg.beta * per_mean[ids]
 
     # Regularizer. d|mu_c|/dx_k = mu_c/(n_c*|mu_c|); zero at mu_c = 0.
-    if cfg.gamma != 0.0:
-        norms = np.sqrt(np.einsum("ij,ij->i", means, means))
-        unit = np.zeros_like(means)
-        nz = norms > 0.0
-        unit[nz] = means[nz] / norms[nz, None]
-        per_mean = unit / (c * counts.astype(np.float64))[:, None]
-        grad_pts += cfg.gamma * per_mean[ids]
+    norms = np.sqrt(np.einsum("ij,ij->i", means, means))
+    l_reg = float(norms.mean())
+    unit = np.zeros_like(means)
+    nz = norms > 0.0
+    unit[nz] = means[nz] / norms[nz, None]
+    grad_pts += cfg.gamma * (unit / (c * counts)[:, None])[ids]
 
-    out = np.zeros(emb_values.shape, dtype=np.float64)
-    out.reshape(-1, d)[label_values.ravel() > 0] = grad_pts
-    return out
+    total = cfg.alpha * l_var + cfg.beta * l_dist + cfg.gamma * l_reg
+    grad = np.zeros(emb_values.shape, dtype=np.float64)
+    grad.reshape(-1, emb_values.shape[2])[plan.fg] = grad_pts
+    return LossBreakdown(l_var, l_dist, l_reg, float(total)), grad
+
+
+def cluster_means(emb: EmbeddingField, labels: LabelMap) -> np.ndarray:
+    """Arithmetic mean embedding of each instance, shaped (C, D)."""
+    validate_pair(emb, labels)
+    return _foreground_means(emb.values, _plan_labels(labels.values))[1]
+
+
+def discriminative_loss(
+    emb: EmbeddingField, labels: LabelMap, cfg: DiscriminativeConfig
+) -> LossBreakdown:
+    """Evaluate all three terms of the discriminative loss."""
+    validate_pair(emb, labels)
+    return _value_and_grad(emb.values, _plan_labels(labels.values), cfg)[0]
 
 
 def discriminative_grad(
@@ -210,32 +186,4 @@ def discriminative_grad(
     exactly zero.
     """
     validate_pair(emb, labels)
-    return _grad_arrays(emb.values, labels.values, cfg)
-
-
-def dice_loss(pred: ProbMap, target: BinaryMask, eps: float = 1.0) -> float:
-    """Soft Dice loss 1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps)."""
-    validate_pair(pred, target)
-    p = pred.values
-    t = target.values.astype(np.float64)
-    inter = float((p * t).sum())
-    return 1.0 - (2.0 * inter + eps) / (float(p.sum()) + float(t.sum()) + eps)
-
-
-def bce_loss(pred: ProbMap, target: BinaryMask, clamp: float = 1e-7) -> float:
-    """Mean binary cross-entropy with predictions clamped to [clamp, 1-clamp]."""
-    validate_pair(pred, target)
-    p = np.clip(pred.values, clamp, 1.0 - clamp)
-    t = target.values.astype(np.float64)
-    ll = t * np.log(p) + (1.0 - t) * np.log(1.0 - p)
-    return float(-ll.mean())
-
-
-def composite_loss(terms: Mapping[str, float], weights: CompositeWeights) -> float:
-    """Weighted sum of named loss terms."""
-    total = 0.0
-    for name, w in weights.weights.items():
-        if name not in terms:
-            raise MissingTerm(f"no loss term named {name!r}")
-        total += w * terms[name]
-    return total
+    return _value_and_grad(emb.values, _plan_labels(labels.values), cfg)[1]

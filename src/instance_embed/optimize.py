@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryMask, EmbeddingField, LabelMap, validate_pair
-from .errors import DegenerateVector, EmptyInstance, NonFiniteLoss
-from .losses import (
-    DiscriminativeConfig,
-    GradientField,
-    LossBreakdown,
-    _breakdown_arrays,
-    _grad_arrays,
-)
+from .errors import DegenerateVector, NonFiniteLoss
+from .losses import DiscriminativeConfig, GradientField, _plan_labels, _value_and_grad
 
 
 @dataclass(frozen=True)
@@ -79,19 +73,16 @@ def finite_diff_grad(
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     validate_pair(emb, labels)
+    plan = _plan_labels(labels.values)
     base = emb.values.copy()
-    label_values = labels.values
     out = np.zeros_like(base)
-    fg_rows, fg_cols = np.nonzero(label_values > 0)
-    if fg_rows.size == 0:
-        raise EmptyInstance("label map has no foreground instances")
-    for y, x in zip(fg_rows, fg_cols):
+    for y, x in zip(*np.nonzero(labels.values)):
         for d in range(base.shape[2]):
             saved = base[y, x, d]
             base[y, x, d] = saved + step
-            hi = _breakdown_arrays(base, label_values, cfg).total
+            hi = _value_and_grad(base, plan, cfg)[0].total
             base[y, x, d] = saved - step
-            lo = _breakdown_arrays(base, label_values, cfg).total
+            lo = _value_and_grad(base, plan, cfg)[0].total
             base[y, x, d] = saved
             out[y, x, d] = (hi - lo) / (2.0 * step)
     return out
@@ -113,25 +104,22 @@ def optimize_embeddings(
     """
     if d < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {d}")
-    if labels.num_instances < 1:
-        raise EmptyInstance("label map has no foreground instances")
+    plan = _plan_labels(labels.values)
     rng = np.random.default_rng(opt_cfg.seed)
     shape = (labels.height, labels.width, d)
     cur = rng.uniform(-opt_cfg.init_scale, opt_cfg.init_scale, size=shape)
-    label_values = labels.values
 
-    bd = _breakdown_arrays(cur, label_values, loss_cfg)
+    bd, grad = _value_and_grad(cur, plan, loss_cfg)
     if not bd.finite():
         raise NonFiniteLoss("loss is not finite at initialization")
     breakdowns = [bd]
     steps = 0
     while bd.total > opt_cfg.loss_tolerance and steps < opt_cfg.max_steps:
-        grad = _grad_arrays(cur, label_values, loss_cfg)
         cur = cur - opt_cfg.step_size * grad
         steps += 1
         if not np.all(np.isfinite(cur)):
             raise NonFiniteLoss(f"embeddings diverged after {steps} steps; reduce step_size")
-        bd = _breakdown_arrays(cur, label_values, loss_cfg)
+        bd, grad = _value_and_grad(cur, plan, loss_cfg)
         if not bd.finite():
             raise NonFiniteLoss(f"loss diverged after {steps} steps; reduce step_size")
         breakdowns.append(bd)

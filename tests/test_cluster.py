@@ -158,15 +158,6 @@ class TestModeSearch:
         np.testing.assert_array_equal(a.basin_seeds, b.basin_seeds)
         assert a.dropped_seeds == b.dropped_seeds
 
-    def test_parallel_equals_serial_exactly(self):
-        # more than one seed block so the thread pool actually engages
-        x, _, _ = _planted(seed=10, n_per=70)
-        serial = mean_shift_modes(x, VmfConfig(kappa=10.0, parallel_seeds=False))
-        parallel = mean_shift_modes(x, VmfConfig(kappa=10.0, parallel_seeds=True))
-        np.testing.assert_array_equal(serial.modes, parallel.modes)
-        np.testing.assert_array_equal(serial.basin_seeds, parallel.basin_seeds)
-        assert serial.dropped_seeds == parallel.dropped_seeds
-
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             mean_shift_modes(np.zeros((0, 3)), VmfConfig())
@@ -225,6 +216,17 @@ class TestAssignment:
         search = mean_shift_modes(x, cfg)
         result = assign_to_modes(x, index, search.modes, cfg)
         assert result.num_clusters == 0
+        assert np.all(result.assignment.values == -1)
+
+    def test_zero_modes_leave_everything_unassigned(self):
+        # what mean shift returns when every seed was dropped
+        rng = np.random.default_rng(8)
+        x = _bundle(rng, _unit([1, 0, 0]), 6, 0.01, 3)
+        index = FlatIndex(np.arange(6), 2, 3)
+        result = assign_to_modes(x, index, np.zeros((0, 3)), VmfConfig())
+        assert result.num_clusters == 0
+        assert result.modes.shape == (0, 3)
+        assert result.basin_pixels.shape == (0,)
         assert np.all(result.assignment.values == -1)
 
     def test_background_pixels_stay_negative(self):

@@ -10,6 +10,7 @@ from instance_embed import (
     override_seed,
     parse_run_config,
 )
+from instance_embed.cli import main
 
 
 class TestDefaults:
@@ -74,11 +75,13 @@ class TestTypes:
             parse_run_config({"scene": {"num_instances": 9}})
         assert "scene" in str(err.value)
 
-    def test_cluster_flag_is_boolean(self):
-        cfg = parse_run_config({"cluster": {"parallel_seeds": True}})
-        assert cfg.cluster.parallel_seeds is True
-        with pytest.raises(ConfigError):
-            parse_run_config({"cluster": {"parallel_seeds": 1}})
+    def test_removed_parallel_seeds_key_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_run_config({"cluster": {"parallel_seeds": False}})
+        assert "parallel_seeds" in str(err.value)
+        p = tmp_path / "run.json"
+        p.write_text('{"cluster": {"parallel_seeds": true}}\n')
+        assert main(["gen", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
 
 class TestEmbeddingDim:

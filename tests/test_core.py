@@ -8,7 +8,6 @@ from instance_embed import (
     EmbeddingField,
     Grid2D,
     LabelMap,
-    ProbMap,
     relabel_contiguous,
     validate_pair,
 )
@@ -100,13 +99,6 @@ class TestMasks:
     def test_binary_mask_rejects_other_values(self):
         with pytest.raises(ValueError):
             BinaryMask(np.array([[0, 2]], dtype=np.uint8))
-
-    def test_prob_map_bounds(self):
-        ProbMap(np.array([[0.0, 0.5], [1.0, 0.25]]))
-        with pytest.raises(ValueError):
-            ProbMap(np.array([[-0.1, 0.5]]))
-        with pytest.raises(ValueError):
-            ProbMap(np.array([[1.1, 0.5]]))
 
     def test_grid2d_shape(self):
         g = Grid2D(np.zeros((3, 4)))

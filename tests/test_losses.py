@@ -3,18 +3,11 @@ import numpy as np
 import pytest
 
 from instance_embed import (
-    CompositeWeights,
     DiscriminativeConfig,
     EmbeddingField,
     EmptyInstance,
     LabelMap,
-    MissingTerm,
-    ProbMap,
-    BinaryMask,
-    bce_loss,
     cluster_means,
-    composite_loss,
-    dice_loss,
     discriminative_loss,
 )
 
@@ -153,39 +146,3 @@ class TestStructure:
                 means[ident - 1], emb.values[sel].mean(axis=0), rtol=1e-12
             )
 
-
-class TestAuxiliaryLosses:
-    def test_dice_perfect_match(self):
-        t = BinaryMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
-        p = ProbMap(t.values.astype(np.float64))
-        # smoothed dice: 1 - (2*2 + 1)/(2 + 2 + 1) = 0
-        assert dice_loss(p, t) == pytest.approx(1.0 - 5.0 / 5.0, abs=1e-12)
-
-    def test_dice_total_miss(self):
-        t = BinaryMask(np.array([[1, 1]], dtype=np.uint8))
-        p = ProbMap(np.zeros((1, 2)))
-        assert dice_loss(p, t) == pytest.approx(1.0 - 1.0 / 3.0, abs=1e-12)
-
-    def test_bce_closed_form(self):
-        t = BinaryMask(np.array([[1, 0]], dtype=np.uint8))
-        p = ProbMap(np.array([[0.8, 0.3]]))
-        want = -(np.log(0.8) + np.log(0.7)) / 2.0
-        assert bce_loss(p, t) == pytest.approx(want, rel=1e-12)
-
-    def test_bce_clamps_extremes(self):
-        t = BinaryMask(np.array([[1]], dtype=np.uint8))
-        p = ProbMap(np.array([[0.0]]))
-        val = bce_loss(p, t)
-        assert np.isfinite(val)
-        assert val == pytest.approx(-np.log(1e-7), rel=1e-9)
-
-    def test_composite_weighted_sum(self):
-        w = CompositeWeights({"seg": 1.0, "lane": 2.0, "detect": 0.5, "instance": 1.5})
-        terms = {"seg": 0.1, "lane": 0.2, "detect": 0.4, "instance": 0.8}
-        want = 0.1 + 2 * 0.2 + 0.5 * 0.4 + 1.5 * 0.8
-        assert composite_loss(terms, w) == pytest.approx(want, rel=1e-12)
-
-    def test_composite_missing_term(self):
-        w = CompositeWeights({"seg": 1.0, "lane": 2.0})
-        with pytest.raises(MissingTerm):
-            composite_loss({"seg": 0.1}, w)

@@ -11,6 +11,7 @@ from instance_embed import (
     LabelMap,
     NonFiniteLoss,
     OptimizerConfig,
+    discriminative_grad,
     discriminative_loss,
     normalize_field,
     optimize_embeddings,
@@ -71,6 +72,21 @@ class TestDescent:
         recomputed = discriminative_loss(trace.final, labels, loss_cfg)
         assert trace.breakdowns[-1].total == pytest.approx(recomputed.total, rel=1e-12)
 
+    def test_matches_plain_descent_bit_for_bit(self):
+        # x <- x - step_size * grad(x) through the public loss and gradient
+        labels = _two_band_labels(8, 8)
+        loss_cfg = DiscriminativeConfig()
+        opt = OptimizerConfig(step_size=5.0, max_steps=12, seed=4)
+        trace = optimize_embeddings(labels, 3, loss_cfg, opt)
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 8, 3))
+        want = [discriminative_loss(EmbeddingField(x), labels, loss_cfg)]
+        for _ in range(opt.max_steps):
+            x = x - opt.step_size * discriminative_grad(EmbeddingField(x), labels, loss_cfg)
+            want.append(discriminative_loss(EmbeddingField(x), labels, loss_cfg))
+        assert trace.steps_taken == opt.max_steps
+        assert list(trace.breakdowns) == want
+        np.testing.assert_array_equal(trace.final.values, x)
+
 
 class TestStopping:
     def test_zero_steps_returns_initialization(self):
@@ -105,6 +121,14 @@ class TestStopping:
         labels = LabelMap(np.zeros((4, 4), dtype=np.int64))
         with pytest.raises(EmptyInstance):
             optimize_embeddings(labels, 3, DiscriminativeConfig(), OptimizerConfig())
+
+    def test_gap_id_raises_named_instance(self):
+        lab = np.zeros((4, 4), dtype=np.int64)
+        lab[0, :] = 1
+        lab[2, :] = 3
+        with pytest.raises(EmptyInstance) as err:
+            optimize_embeddings(LabelMap(lab), 3, DiscriminativeConfig(), OptimizerConfig())
+        assert "instance ID 2" in str(err.value)
 
 
 class TestNormalizeField:
