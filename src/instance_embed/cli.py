@@ -122,6 +122,7 @@ def _run_clustering(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: 
             "modes": [list(m) for m in result.modes],
             "basin_pixels": [int(b) for b in result.basin_pixels],
             "dropped_seeds": search.dropped_seeds,
+            "unconverged_seeds": search.unconverged_seeds,
         },
     )
     return result

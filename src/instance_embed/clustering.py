@@ -5,6 +5,11 @@ von Mises-Fisher kernel until it stops moving; converged seeds that agree in
 direction are merged into modes, and every foreground pixel is assigned to
 its angularly nearest mode. No cluster count is ever supplied: the number of
 recovered modes is purely a property of the data and the kernel width.
+
+The merge is single linkage over the seed endpoints. It is found by a
+breadth-first search that expands a whole frontier at once, in blocks of
+rows against the still unlabelled endpoints, so its memory is bounded by
+block x seeds rather than seeds x seeds.
 """
 from __future__ import annotations
 
@@ -16,8 +21,8 @@ import numpy as np
 from .core import BinaryMask, EmbeddingField, Grid2D, validate_pair
 from .errors import DegenerateShift, EmptyForeground
 
-# Seeds are iterated in fixed-size blocks, which bounds the block x n dot and
-# kernel-weight matrices.
+# Seeds are iterated, and merge frontiers expanded, in fixed-size blocks,
+# which bounds the block x n dot, kernel-weight and angle matrices.
 _SEED_BLOCK = 64
 
 
@@ -74,6 +79,7 @@ class ModeSearch:
     modes: np.ndarray  # (M, D), unit rows
     basin_seeds: np.ndarray  # (M,) converged seeds merged into each mode
     dropped_seeds: int
+    unconverged_seeds: int  # seeds still moving after max_iters; merged as usual
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.modes, dtype=np.float64).copy()
@@ -127,26 +133,49 @@ def flatten_foreground(emb: EmbeddingField, mask: BinaryMask):
     return x, FlatIndex(np.flatnonzero(sel), emb.height, emb.width)
 
 
+def _shift_rows(cur: np.ndarray, x_points: np.ndarray, kappa: float):
+    """One kernel-weighted mean-direction update of each row of cur.
+
+    Returns (new, bad): the renormalized weighted means, and the rows whose
+    weighted sum has near-zero norm relative to the total weight (exactly
+    antipodal mass cancels). Bad rows of new are the unnormalized sums. The
+    largest dot product of each row is subtracted inside the exponential,
+    which rescales numerator and denominator identically and avoids overflow
+    at large kappa. The weights overwrite the dot products in place: fresh
+    rows x n buffers on every step cost page faults whenever the allocator
+    has returned the last ones to the system.
+    """
+    w = cur @ x_points.T
+    w -= w.max(axis=1, keepdims=True)
+    w *= kappa
+    np.exp(w, out=w)
+    s = w @ x_points
+    norms = np.sqrt(np.einsum("ij,ij->i", s, s))
+    bad = norms < 1e-12 * w.sum(axis=1)
+    safe = np.where(bad, 1.0, norms)
+    return s / safe[:, None], bad
+
+
 def vmf_shift_step(x_points: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
     """One kernel-weighted mean-direction update of a single unit vector.
 
-    Computes (sum_j x_j * exp(kappa * <x_j, x>)) renormalized to unit length.
-    The largest dot product is subtracted inside the exponential, which
-    rescales numerator and denominator identically and avoids overflow at
-    large kappa. Raises DegenerateShift when the weighted sum has near-zero
-    norm relative to the total weight (exactly antipodal mass cancels).
+    Computes (sum_j x_j * exp(kappa * <x_j, x>)) renormalized to unit length,
+    with the same arithmetic as the pipeline's seed iteration. Raises
+    DegenerateShift when the weighted sum has near-zero norm relative to the
+    total weight (exactly antipodal mass cancels).
     """
-    dots = x_points @ x
-    w = np.exp(kappa * (dots - dots.max()))
-    s = w @ x_points
-    norm = float(np.sqrt(s @ s))
-    if norm < 1e-12 * float(w.sum()):
+    new, bad = _shift_rows(x[None, :], x_points, kappa)
+    if bad[0]:
         raise DegenerateShift("weighted mean direction has near-zero norm")
-    return s / norm
+    return new[0]
 
 
 def _iterate_block(x_points: np.ndarray, seeds: np.ndarray, cfg: VmfConfig):
-    """Shift a block of seeds to convergence; returns (endpoints, dropped)."""
+    """Shift a block of seeds to convergence.
+
+    Returns (endpoints, dropped, unconverged): the last positions, the seeds
+    whose update degenerated, and the seeds still moving after max_iters.
+    """
     pts = seeds.copy()
     n_seeds = pts.shape[0]
     dropped = np.zeros(n_seeds, dtype=bool)
@@ -156,29 +185,53 @@ def _iterate_block(x_points: np.ndarray, seeds: np.ndarray, cfg: VmfConfig):
         if idx.size == 0:
             break
         cur = pts[idx]
-        dots = cur @ x_points.T
-        w = np.exp(cfg.kappa * (dots - dots.max(axis=1, keepdims=True)))
-        s = w @ x_points
-        norms = np.sqrt(np.einsum("ij,ij->i", s, s))
-        bad = norms < 1e-12 * w.sum(axis=1)
-        safe = np.where(bad, 1.0, norms)
-        new = s / safe[:, None]
+        new, bad = _shift_rows(cur, x_points, cfg.kappa)
         cos = np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0)
         moved = np.arccos(cos)
         pts[idx[~bad]] = new[~bad]
         dropped[idx[bad]] = True
         active[idx] = ~(bad | (moved < cfg.shift_tolerance))
-    return pts, dropped
+    return pts, dropped, active
+
+
+def _single_linkage(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Connected components of the graph joining rows within angle tol.
+
+    Components are numbered by their smallest row index. Each breadth-first
+    search expands its whole frontier at once, _SEED_BLOCK rows at a time,
+    against the rows that have no component yet, and every row is expanded
+    once, so memory grows as _SEED_BLOCK x len(pts), not len(pts) squared.
+    """
+    comp = np.full(pts.shape[0], -1, dtype=np.int64)
+    free = np.arange(pts.shape[0])  # unlabelled rows, ascending
+    n_comp = 0
+    while free.size:
+        frontier, free = free[:1], free[1:]
+        comp[frontier] = n_comp
+        while frontier.size and free.size:
+            cand = pts[free]
+            hit = np.zeros(free.size, dtype=bool)
+            for i in range(0, frontier.size, _SEED_BLOCK):
+                ang = pts[frontier[i : i + _SEED_BLOCK]] @ cand.T
+                np.clip(ang, -1.0, 1.0, out=ang)
+                np.arccos(ang, out=ang)
+                hit |= (ang <= tol).any(axis=0)
+            frontier, free = free[hit], free[~hit]
+            comp[frontier] = n_comp
+        n_comp += 1
+    return comp
 
 
 def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     """Iterate strided seeds to their modes and merge coinciding directions.
 
-    Seeds that raise DegenerateShift are dropped and counted. Surviving
-    endpoints are merged by single linkage: endpoints within merge_tolerance
-    angular distance share a mode, transitively. Each mode is the renormalized
-    mean of its merged endpoints, and modes are sorted by descending basin
-    seed count (ties: the earliest contributing seed first).
+    Seeds that raise DegenerateShift are dropped and counted; seeds still
+    moving after max_iters are counted as unconverged and merged from where
+    they stopped. Surviving endpoints are merged by single linkage: endpoints
+    within merge_tolerance angular distance share a mode, transitively. Each
+    mode is the renormalized mean of its merged endpoints, and modes are
+    sorted by descending basin seed count (ties: the earliest contributing
+    seed first).
     """
     if x_points.ndim != 2 or x_points.shape[0] == 0:
         raise ValueError("point matrix must be non-empty (n, D)")
@@ -189,52 +242,35 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     ]
     endpoints = np.concatenate([r[0] for r in results], axis=0)
     dropped = np.concatenate([r[1] for r in results], axis=0)
+    n_unconverged = int(sum(r[2].sum() for r in results))
 
     alive = np.flatnonzero(~dropped)
     n_dropped = int(dropped.sum())
-    if alive.size == 0:
-        return ModeSearch(np.zeros((0, x_points.shape[1])), np.zeros(0, dtype=np.int64), n_dropped)
-
-    pts = endpoints[alive]
-    cos = np.clip(pts @ pts.T, -1.0, 1.0)
-    adj = np.arccos(cos) <= cfg.merge_tolerance
-
-    # connected components of the merge graph (single linkage)
-    n_pts = pts.shape[0]
-    comp = np.full(n_pts, -1, dtype=np.int64)
-    n_comp = 0
-    for root in range(n_pts):
-        if comp[root] >= 0:
-            continue
-        stack = [root]
-        comp[root] = n_comp
-        while stack:
-            node = stack.pop()
-            for nb in np.flatnonzero(adj[node]):
-                if comp[nb] < 0:
-                    comp[nb] = n_comp
-                    stack.append(nb)
-        n_comp += 1
-
     modes = []
     counts = []
     first_seed = []
-    for c in range(n_comp):
-        members = np.flatnonzero(comp == c)
-        mean = pts[members].mean(axis=0)
-        norm = float(np.sqrt(mean @ mean))
-        if norm < 1e-12:
-            n_dropped += members.size
-            continue
-        modes.append(mean / norm)
-        counts.append(members.size)
-        first_seed.append(int(alive[members[0]]))
+    if alive.size:
+        pts = endpoints[alive]
+        comp = _single_linkage(pts, cfg.merge_tolerance)
+        # members of each component in ascending row order, the root first
+        by_comp = np.argsort(comp, kind="stable")
+        for members in np.split(by_comp, np.cumsum(np.bincount(comp))[:-1]):
+            mean = pts[members].mean(axis=0)
+            norm = float(np.sqrt(mean @ mean))
+            if norm < 1e-12:
+                n_dropped += members.size
+                continue
+            modes.append(mean / norm)
+            counts.append(members.size)
+            first_seed.append(int(alive[members[0]]))
     if not modes:
-        return ModeSearch(np.zeros((0, x_points.shape[1])), np.zeros(0, dtype=np.int64), n_dropped)
+        return ModeSearch(
+            np.zeros((0, x_points.shape[1])), np.zeros(0, dtype=np.int64), n_dropped, n_unconverged
+        )
     order = sorted(range(len(modes)), key=lambda i: (-counts[i], first_seed[i]))
     modes_arr = np.stack([modes[i] for i in order])
     counts_arr = np.array([counts[i] for i in order], dtype=np.int64)
-    return ModeSearch(modes_arr, counts_arr, n_dropped)
+    return ModeSearch(modes_arr, counts_arr, n_dropped, n_unconverged)
 
 
 def assign_to_modes(

@@ -102,6 +102,40 @@ def _foreground_means(emb_values: np.ndarray, plan: _LabelPlan):
     return pts, _segment_sum(plan, pts) / plan.counts[:, None]
 
 
+def _loss_terms(emb_values: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
+    """The three loss terms, plus the intermediates their gradient reuses.
+
+    Returns (breakdown, parts). parts holds the instance means; the pull
+    differences, distances and hinges per foreground pixel; the mean
+    separations and push hinges (None with one instance); and the mean norms.
+    """
+    ids, counts = plan.ids, plan.counts
+    c = counts.size
+    pts, means = _foreground_means(emb_values, plan)
+
+    diff = means[ids] - pts
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hinge = np.maximum(dist - cfg.delta_v, 0.0)
+    l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
+
+    l_dist = 0.0
+    sep = h = None
+    if c > 1:
+        gram = means @ means.T
+        sq = np.diag(gram)
+        sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
+        h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
+        np.fill_diagonal(h, 0.0)
+        l_dist = float((h * h).sum() / (c * (c - 1)))
+
+    norms = np.sqrt(np.einsum("ij,ij->i", means, means))
+    l_reg = float(norms.mean())
+
+    total = cfg.alpha * l_var + cfg.beta * l_dist + cfg.gamma * l_reg
+    parts = (means, diff, dist, hinge, sep, h, norms)
+    return LossBreakdown(l_var, l_dist, l_reg, float(total)), parts
+
+
 def _value_and_grad(emb_values: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
     """Loss terms and their exact gradient w.r.t. every pixel embedding.
 
@@ -111,15 +145,11 @@ def _value_and_grad(emb_values: np.ndarray, plan: _LabelPlan, cfg: Discriminativ
     """
     ids, counts = plan.ids, plan.counts
     c = counts.size
-    pts, means = _foreground_means(emb_values, plan)
+    bd, (means, diff, dist, hinge, sep, h, norms) = _loss_terms(emb_values, plan, cfg)
 
     # Pull term. For pixel k of instance c with d_i = mu_c - x_i,
     # h_i = [|d_i| - delta_v]+ and unit directions dhat_i:
     #   dL/dx_k = 2/(C*n_c) * (S_c/n_c - h_k*dhat_k),  S_c = sum_i h_i*dhat_i.
-    diff = means[ids] - pts
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    hinge = np.maximum(dist - cfg.delta_v, 0.0)
-    l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
     active = hinge > 0.0
     dhat = np.zeros_like(diff)
     dhat[active] = diff[active] / dist[active, None]
@@ -133,14 +163,7 @@ def _value_and_grad(emb_values: np.ndarray, plan: _LabelPlan, cfg: Discriminativ
     # Push term. For pixel k of instance A:
     #   dL/dx_k = -4/(C*(C-1)*n_A) * sum_{B != A} [2*delta_d - s_AB]+ * e_AB
     # with e_AB the unit vector from mu_B to mu_A.
-    l_dist = 0.0
     if c > 1:
-        gram = means @ means.T
-        sq = np.diag(gram)
-        sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
-        h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
-        np.fill_diagonal(h, 0.0)
-        l_dist = float((h * h).sum() / (c * (c - 1)))
         # unit difference directions e_AB, zero where the hinge is inactive
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = np.where((h > 0.0) & (sep > 0.0), h / sep, 0.0)
@@ -149,17 +172,14 @@ def _value_and_grad(emb_values: np.ndarray, plan: _LabelPlan, cfg: Discriminativ
         grad_pts += cfg.beta * per_mean[ids]
 
     # Regularizer. d|mu_c|/dx_k = mu_c/(n_c*|mu_c|); zero at mu_c = 0.
-    norms = np.sqrt(np.einsum("ij,ij->i", means, means))
-    l_reg = float(norms.mean())
     unit = np.zeros_like(means)
     nz = norms > 0.0
     unit[nz] = means[nz] / norms[nz, None]
     grad_pts += cfg.gamma * (unit / (c * counts)[:, None])[ids]
 
-    total = cfg.alpha * l_var + cfg.beta * l_dist + cfg.gamma * l_reg
     grad = np.zeros(emb_values.shape, dtype=np.float64)
     grad.reshape(-1, emb_values.shape[2])[plan.fg] = grad_pts
-    return LossBreakdown(l_var, l_dist, l_reg, float(total)), grad
+    return bd, grad
 
 
 def cluster_means(emb: EmbeddingField, labels: LabelMap) -> np.ndarray:
@@ -173,7 +193,7 @@ def discriminative_loss(
 ) -> LossBreakdown:
     """Evaluate all three terms of the discriminative loss."""
     validate_pair(emb, labels)
-    return _value_and_grad(emb.values, _plan_labels(labels.values), cfg)[0]
+    return _loss_terms(emb.values, _plan_labels(labels.values), cfg)[0]
 
 
 def discriminative_grad(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import BinaryMask, EmbeddingField, LabelMap, validate_pair
 from .errors import DegenerateVector, NonFiniteLoss
-from .losses import DiscriminativeConfig, GradientField, _plan_labels, _value_and_grad
+from .losses import DiscriminativeConfig, GradientField, _loss_terms, _plan_labels, _value_and_grad
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,9 @@ def finite_diff_grad(
         for d in range(base.shape[2]):
             saved = base[y, x, d]
             base[y, x, d] = saved + step
-            hi = _value_and_grad(base, plan, cfg)[0].total
+            hi = _loss_terms(base, plan, cfg)[0].total
             base[y, x, d] = saved - step
-            lo = _value_and_grad(base, plan, cfg)[0].total
+            lo = _loss_terms(base, plan, cfg)[0].total
             base[y, x, d] = saved
             out[y, x, d] = (hi - lo) / (2.0 * step)
     return out

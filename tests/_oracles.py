@@ -275,6 +275,30 @@ def oracle_kde(x_points: np.ndarray, x: np.ndarray, kappa: float) -> float:
     return sum(math.exp(kappa * (d - 1.0)) for d in dots)
 
 
+def oracle_single_linkage(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage component of each row, numbered by smallest row.
+
+    Dense form: the full angle matrix, then a depth-first search from each
+    unlabelled row in ascending order. Memory is quadratic in the rows.
+    """
+    adj = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0)) <= tol
+    comp = np.full(pts.shape[0], -1, dtype=np.int64)
+    n_comp = 0
+    for root in range(pts.shape[0]):
+        if comp[root] >= 0:
+            continue
+        stack = [root]
+        comp[root] = n_comp
+        while stack:
+            node = stack.pop()
+            for nb in np.flatnonzero(adj[node]):
+                if comp[nb] < 0:
+                    comp[nb] = n_comp
+                    stack.append(nb)
+        n_comp += 1
+    return comp
+
+
 # ---------------------------------------------------------------------------
 # deformable sampling
 # ---------------------------------------------------------------------------

@@ -157,7 +157,9 @@ class TestCluster:
         inst = fileio.read_labels(out / "instances.pgm")
         assert inst.values.shape == (64, 64)
         doc = json.loads((out / "modes.json").read_text())
-        assert set(doc) == {"num_clusters", "modes", "basin_pixels", "dropped_seeds"}
+        assert set(doc) == {
+            "num_clusters", "modes", "basin_pixels", "dropped_seeds", "unconverged_seeds"
+        }
         assert doc["num_clusters"] == len(doc["modes"]) == len(doc["basin_pixels"])
         if doc["num_clusters"]:
             assert np.linalg.norm(doc["modes"][0]) == pytest.approx(1.0, abs=1e-9)

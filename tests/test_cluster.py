@@ -1,4 +1,6 @@
 """Spherical mean-shift clustering: fixed points, merging, assignment."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from instance_embed import (
     vmf_shift_step,
 )
 
-from _oracles import oracle_kde, oracle_vmf_step
+from instance_embed.clustering import _single_linkage
+
+from _oracles import oracle_kde, oracle_single_linkage, oracle_vmf_step
 
 
 def _unit(v):
@@ -172,6 +176,92 @@ class TestModeSearch:
             cfg = VmfConfig(kappa=10.0, merge_tolerance=1.65, seed_stride=3)
             search = mean_shift_modes(x, cfg)
             assert search.modes.shape[0] == 1
+
+    def test_planted_bundles_all_converge(self):
+        x, _, _ = _planted(seed=0)
+        assert mean_shift_modes(x, VmfConfig(kappa=10.0)).unconverged_seeds == 0
+
+    def test_seeds_out_of_iterations_are_counted(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((200, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        search = mean_shift_modes(x, VmfConfig(kappa=10.0, max_iters=1, seed_stride=2))
+        assert 0 < search.unconverged_seeds <= 100
+        assert search.dropped_seeds == 0
+
+
+def _endpoint_set(rng, d, tol):
+    """Bundles, chains and stray singletons, with no angle within 1e-6 of tol.
+
+    Bundles of more than 64 rows make a frontier span several blocks; chains
+    step below tol along a great circle out of a bundle's center, so they
+    link only transitively and often only to a few rows of that bundle.
+    Rows closer to the tol boundary than 1e-6 rad are dropped: blocked and
+    full matrix products may differ in the last bit there.
+    """
+    parts = []
+    centers = []
+    for _ in range(rng.integers(1, 4)):
+        centers.append(_unit(rng.standard_normal(d)))
+        parts.append(_bundle(rng, centers[-1], int(rng.integers(5, 150)), 0.2 * tol, d))
+    for _ in range(rng.integers(0, 3)):
+        basis = np.column_stack([centers[rng.integers(len(centers))], rng.standard_normal(d)])
+        u, v = np.linalg.qr(basis)[0].T
+        steps = rng.uniform(0.5 * tol, 0.95 * tol, size=int(rng.integers(3, 30)))
+        theta = np.cumsum(steps)
+        parts.append(np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v)
+    parts.append(np.stack([_unit(rng.standard_normal(d)) for _ in range(rng.integers(1, 20))]))
+    x = np.concatenate(parts)[rng.permutation(sum(p.shape[0] for p in parts))]
+    ang = np.arccos(np.clip(x @ x.T, -1.0, 1.0))
+    keep = np.ones(x.shape[0], dtype=bool)
+    for i, j in zip(*np.nonzero(np.triu(np.abs(ang - tol) < 1e-6, 1))):
+        if keep[i] and keep[j]:
+            keep[j] = False
+    return x[keep]
+
+
+class TestSingleLinkage:
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_matches_dense_oracle(self, d):
+        for seed in range(12):
+            rng = np.random.default_rng(100 * d + seed)
+            tol = float(rng.choice([0.05, 0.1, 0.3]))
+            x = _endpoint_set(rng, d, tol)
+            np.testing.assert_array_equal(_single_linkage(x, tol), oracle_single_linkage(x, tol))
+
+    def test_chain_links_transitively(self):
+        theta = 0.09 * np.arange(60)  # 5.31 rad: the ends stay far apart
+        x = np.stack([np.cos(theta), np.sin(theta), np.zeros(60)], axis=1)
+        np.testing.assert_array_equal(_single_linkage(x, 0.1), np.zeros(60, dtype=np.int64))
+        np.testing.assert_array_equal(_single_linkage(x, 0.05), np.arange(60))
+
+    def test_every_frontier_block_is_expanded(self):
+        # rows 1..100 fan out from row 0 up to 0.04 rad and form one frontier;
+        # the last row, at 0.1305 rad, is within 0.1 only of rows 77..100,
+        # which lie in the frontier's second block of 64
+        theta = np.concatenate([0.0004 * np.arange(101), [0.1305]])
+        x = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        np.testing.assert_array_equal(_single_linkage(x, 0.1), np.zeros(102, dtype=np.int64))
+
+    def test_components_numbered_by_first_row(self):
+        e = np.eye(3)
+        x = e[[2, 0, 2, 1, 0]]
+        np.testing.assert_array_equal(_single_linkage(x, 0.1), [0, 1, 0, 2, 1])
+
+    def test_memory_bounded_by_block_rows(self):
+        # four tight bundles of 5000 endpoints in D = 8: a dense angle matrix
+        # alone would take 20000^2 * 8 bytes = 3.2 GB
+        rng = np.random.default_rng(13)
+        centers = np.eye(8)[:4]
+        x = np.concatenate([_bundle(rng, c, 5000, 0.01, 8) for c in centers])
+        tracemalloc.start()
+        try:
+            comp = _single_linkage(x, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(comp, np.repeat(np.arange(4), 5000))
+        assert peak < 64 * 2**20
 
 
 class TestAssignment:
