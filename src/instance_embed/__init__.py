@@ -74,7 +74,6 @@ from .metrics import (
     detection_ap,
     detection_empty,
     detection_recall,
-    instance_map50,
     instance_map50_empty,
     instance_map50_labels,
     map_50_95,
@@ -151,7 +150,6 @@ __all__ = [
     "detection_ap",
     "detection_empty",
     "detection_recall",
-    "instance_map50",
     "instance_map50_empty",
     "instance_map50_labels",
     "map_50_95",

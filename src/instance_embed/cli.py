@@ -19,12 +19,11 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import assign_to_modes, flatten_foreground, mean_shift_modes
+from .clustering import ClusterResult, cluster_field
 from .core import BinaryMask, EmbeddingField, LabelMap, validate_pair
 from .config import RunConfig, default_run_config, load_run_config, override_seed
 from .errors import (
@@ -43,6 +42,7 @@ from .metrics import (
     DetectionSet,
     detection_empty,
     detection_recall,
+    instance_map50_empty,
     instance_map50_labels,
     map_50_95,
     pixel_accuracy,
@@ -50,7 +50,7 @@ from .metrics import (
     seg_iou,
     seg_iou_undefined,
 )
-from .optimize import normalize_field, optimize_embeddings
+from .optimize import optimize_embeddings
 from .sampling import KernelGrid, OffsetField, trace_receptive_field
 from .scenes import Scene, gen_scene
 
@@ -75,7 +75,8 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return path
 
 
-def _write_scene(scene: Scene, cfg: RunConfig, out: Path) -> None:
+def _gen_stage(cfg: RunConfig, out: Path) -> Scene:
+    scene = gen_scene(cfg.scene)
     fileio.write_labels(out / "labels.pgm", scene.labels)
     fileio.write_mask(out / "drivable.pgm", scene.drivable_mask)
     fileio.write_mask(out / "lanes.pgm", scene.lane_mask)
@@ -93,9 +94,12 @@ def _write_scene(scene: Scene, cfg: RunConfig, out: Path) -> None:
             "lane_thickness": sc.lane_thickness,
         },
     )
+    log.info("wrote scene with %d instances to %s", sc.num_instances, out)
+    return scene
 
 
-def _write_optimization(trace, out: Path) -> None:
+def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
+    trace = optimize_embeddings(labels, cfg.embedding_dim, cfg.loss, cfg.optimizer)
     fileio.write_embf(out / "embeddings.embf", trace.final.values)
     fileio.write_json(
         out / "trace.json",
@@ -107,13 +111,13 @@ def _write_optimization(trace, out: Path) -> None:
             ],
         },
     )
+    log.info("optimized %d steps, final total %s", trace.steps_taken, trace.breakdowns[-1].total)
 
 
-def _run_clustering(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: Path):
-    normalized = normalize_field(emb, mask)
-    x_points, index = flatten_foreground(normalized, mask)
-    search = mean_shift_modes(x_points, cfg.cluster)
-    result = assign_to_modes(x_points, index, search.modes, cfg.cluster)
+def _cluster_stage(
+    emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: Path
+) -> ClusterResult:
+    result, search = cluster_field(emb, mask, cfg.cluster)
     fileio.write_labels(out / "instances.pgm", LabelMap(result.assignment.values + 1))
     fileio.write_json(
         out / "modes.json",
@@ -125,6 +129,7 @@ def _run_clustering(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: 
             "unconverged_seeds": search.unconverged_seeds,
         },
     )
+    log.info("found %d clusters", result.num_clusters)
     return result
 
 
@@ -157,7 +162,7 @@ def _detection_report(preds, gts, metrics_cfg) -> dict:
 
 def _instance_report(pred: LabelMap, gt: LabelMap) -> dict:
     flags = []
-    if pred.num_instances == 0 and gt.num_instances == 0:
+    if instance_map50_empty(pred.num_instances, gt.num_instances):
         flags.append("map50_empty_vs_empty")
     return {"map50": instance_map50_labels(pred, gt), "flags": flags}
 
@@ -181,21 +186,14 @@ def _boxes_from_clusters(result, total_fg: int) -> DetectionSet:
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    scene = gen_scene(cfg.scene)
-    _write_scene(scene, cfg, out)
-    log.info("wrote scene with %d instances to %s", cfg.scene.num_instances, out)
+    _gen_stage(cfg, _out_dir(args, cfg))
     return 0
 
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    labels = fileio.read_labels(args.labels)
-    trace = optimize_embeddings(labels, cfg.embedding_dim, cfg.loss, cfg.optimizer)
-    _write_optimization(trace, out)
-    final = trace.breakdowns[-1].total if trace.breakdowns else None
-    log.info("optimized %d steps, final total %s", trace.steps_taken, final)
+    _optimize_stage(fileio.read_labels(args.labels), cfg, out)
     return 0
 
 
@@ -203,9 +201,7 @@ def cmd_cluster(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     emb = EmbeddingField(fileio.read_embf(args.embeddings))
-    mask = fileio.read_mask(args.mask)
-    result = _run_clustering(emb, mask, cfg, out)
-    log.info("found %d clusters", result.num_clusters)
+    _cluster_stage(emb, fileio.read_mask(args.mask), cfg, out)
     return 0
 
 
@@ -283,11 +279,11 @@ def cmd_trace(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    scene = gen_scene(cfg.scene)
-    _write_scene(scene, cfg, out)
-    trace = optimize_embeddings(scene.labels, cfg.embedding_dim, cfg.loss, cfg.optimizer)
-    _write_optimization(trace, out)
-    result = _run_clustering(trace.final, scene.drivable_mask, cfg, out)
+    scene = _gen_stage(cfg, out)
+    _optimize_stage(scene.labels, cfg, out)
+    # Cluster the float32 field as written, exactly what the staged cluster reads.
+    emb = EmbeddingField(fileio.read_embf(out / "embeddings.embf"))
+    result = _cluster_stage(emb, scene.drivable_mask, cfg, out)
 
     pred_drivable = BinaryMask((result.assignment.values >= 0).astype(np.uint8))
     pred_labels = LabelMap(result.assignment.values + 1)

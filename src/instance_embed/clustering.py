@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import BinaryMask, EmbeddingField, Grid2D, validate_pair
 from .errors import DegenerateShift, EmptyForeground
+from .optimize import normalize_field
 
 # Seeds are iterated, and merge frontiers expanded, in fixed-size blocks,
 # which bounds the block x n dot, kernel-weight and angle matrices.
@@ -312,16 +313,18 @@ def assign_to_modes(
     )
 
 
-def cluster_field(emb: EmbeddingField, mask: BinaryMask, cfg: VmfConfig) -> ClusterResult:
+def cluster_field(
+    emb: EmbeddingField, mask: BinaryMask, cfg: VmfConfig
+) -> tuple[ClusterResult, ModeSearch]:
     """flatten_foreground, mean_shift_modes, and assign_to_modes end to end.
 
     Accepts raw embeddings and normalizes them over the mask first; fields
-    that already carry unit vectors pass through unchanged.
+    that already carry unit vectors pass through unchanged. Returns the
+    assignment and the mode search it came from, whose seed counters the
+    assignment does not carry.
     """
     if not emb.normalized:
-        from .optimize import normalize_field
-
         emb = normalize_field(emb, mask)
     x_points, index = flatten_foreground(emb, mask)
     search = mean_shift_modes(x_points, cfg)
-    return assign_to_modes(x_points, index, search.modes, cfg)
+    return assign_to_modes(x_points, index, search.modes, cfg), search

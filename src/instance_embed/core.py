@@ -171,11 +171,11 @@ def validate_pair(a, b) -> None:
 
 def relabel_contiguous(labels: LabelMap) -> LabelMap:
     """Remap non-zero IDs to {1..C} preserving order and pixel partition."""
+    if labels.is_contiguous():
+        return labels
     arr = labels.values
     ids = np.unique(arr)
     ids = ids[ids > 0]
-    if ids.size == 0 or (ids[0] == 1 and ids[-1] == ids.size):
-        return labels
     lut = np.zeros(int(ids[-1]) + 1, dtype=np.int64)
     lut[ids] = np.arange(1, ids.size + 1)
     return LabelMap(lut[arr])

@@ -10,7 +10,7 @@ Formats
   embeddings    "EMBF" blob: 4-byte magic, then u32 height, width, depth
                 (little endian), then height*width*depth float32 values in
                 row-major order. Also used for offset fields (depth = 2*k*k,
-                dy/dx interleaved per tap) and probability maps (depth = 1).
+                dy/dx interleaved per tap).
   boxes/modes/  JSON with sorted keys and 2-space indentation.
   trace/metrics
   trace points  CSV with header level,y,x; one row per sampling location,
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

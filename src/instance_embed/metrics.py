@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import ClusterResult
 from .core import BinaryMask, LabelMap, validate_pair
 from .errors import NoGroundTruth
 
@@ -283,11 +282,6 @@ def instance_map50_labels(pred: LabelMap, gt: LabelMap) -> float:
         else:
             flags.append(False)
     return _ap_from_flags(flags, len(gt_masks))
-
-
-def instance_map50(pred: ClusterResult, gt: LabelMap) -> float:
-    """instance_map50_labels with cluster indices shifted to labels (+1)."""
-    return instance_map50_labels(LabelMap(pred.assignment.values + 1), gt)
 
 
 def instance_map50_empty(pred_instances: int, gt_instances: int) -> bool:

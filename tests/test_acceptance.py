@@ -192,7 +192,7 @@ def test_pipeline_recovers_instances(verdict):
         scene = gen_scene(SceneConfig(num_instances=count, layout=layout, seed=i))
         opt_cfg = OptimizerConfig(seed=i, **PIPELINE_OPT)
         trace = optimize_embeddings(scene.labels, PIPELINE_DIM, loss_cfg, opt_cfg)
-        result = cluster_field(trace.final, scene.drivable_mask, PIPELINE_VMF)
+        result, _ = cluster_field(trace.final, scene.drivable_mask, PIPELINE_VMF)
         mean_iou = _mean_instance_iou(scene.labels.values, result.assignment.values,
                                       count, result.num_clusters)
         if result.num_clusters == count and mean_iou >= 0.95:

@@ -321,6 +321,25 @@ class TestPipeline:
         names = [p.name for p in a.iterdir()]
         assert _dir_bytes(a, names) == _dir_bytes(b, names)
 
+    def test_staged_commands_write_the_same_bytes(self, tmp_path):
+        cfg = self._config(tmp_path)
+        whole, staged = tmp_path / "whole", tmp_path / "staged"
+        assert main(["pipeline", "--config", cfg, "--out", str(whole)]) == 0
+        assert main(["gen", "--config", cfg, "--out", str(staged)]) == 0
+        assert main(["optimize", "--config", cfg, "--out", str(staged),
+                     "--labels", str(staged / "labels.pgm")]) == 0
+        assert main(["cluster", "--config", cfg, "--out", str(staged),
+                     "--embeddings", str(staged / "embeddings.embf"),
+                     "--mask", str(staged / "drivable.pgm")]) == 0
+        assert main(["eval", "--config", cfg, "--out", str(staged),
+                     "--pred-instances", str(staged / "instances.pgm"),
+                     "--gt-labels", str(staged / "labels.pgm")]) == 0
+        names = GEN_FILES + ["embeddings.embf", "trace.json", "instances.pgm", "modes.json"]
+        assert _dir_bytes(whole, names) == _dir_bytes(staged, names)
+        whole_doc = json.loads((whole / "metrics.json").read_text())
+        staged_doc = json.loads((staged / "metrics.json").read_text())
+        assert whole_doc["instance_segmentation"] == staged_doc["instance_segmentation"]
+
 
 class TestErrorPaths:
     def test_bad_json_config_exits_2(self, tmp_path):

@@ -366,7 +366,7 @@ class TestClusterField:
         x, truth, _ = _planted(seed=0)
         emb = self._field_from_points(x, 12, 15)
         mask = BinaryMask(np.ones((12, 15), dtype=np.uint8))
-        result = cluster_field(emb, mask, VmfConfig(kappa=10.0))
+        result, _ = cluster_field(emb, mask, VmfConfig(kappa=10.0))
         assert result.num_clusters == 3
         got = result.assignment.values.ravel()
         for t in range(3):
@@ -376,8 +376,8 @@ class TestClusterField:
         x, _, _ = _planted(seed=0)
         emb_raw = EmbeddingField(3.5 * x.reshape(12, 15, 4))
         mask = BinaryMask(np.ones((12, 15), dtype=np.uint8))
-        a = cluster_field(emb_raw, mask, VmfConfig(kappa=10.0))
-        b = cluster_field(self._field_from_points(x, 12, 15), mask, VmfConfig(kappa=10.0))
+        a, _ = cluster_field(emb_raw, mask, VmfConfig(kappa=10.0))
+        b, _ = cluster_field(self._field_from_points(x, 12, 15), mask, VmfConfig(kappa=10.0))
         assert a.num_clusters == b.num_clusters
         np.testing.assert_array_equal(a.assignment.values, b.assignment.values)
 
