@@ -19,11 +19,10 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from .clustering import ClusterResult, cluster_field
+from .clustering import cluster_field
 from .core import BinaryMask, EmbeddingField, LabelMap, validate_pair
 from .config import RunConfig, default_run_config, load_run_config, override_seed
 from .errors import (
@@ -38,12 +37,11 @@ from .errors import (
 )
 from . import fileio
 from .metrics import (
-    Detection,
-    DetectionSet,
     detection_empty,
     detection_recall,
     instance_map50_empty,
     instance_map50_labels,
+    label_boxes,
     map_50_95,
     pixel_accuracy,
     pixel_confusion,
@@ -81,20 +79,8 @@ def _gen_stage(cfg: RunConfig, out: Path) -> Scene:
     fileio.write_mask(out / "drivable.pgm", scene.drivable_mask)
     fileio.write_mask(out / "lanes.pgm", scene.lane_mask)
     fileio.write_boxes(out / "boxes.json", [scene.gt_boxes])
-    sc = cfg.scene
-    fileio.write_json(
-        out / "scene.json",
-        {
-            "width": sc.width,
-            "height": sc.height,
-            "num_instances": sc.num_instances,
-            "layout": sc.layout,
-            "gap_pixels": sc.gap_pixels,
-            "seed": sc.seed,
-            "lane_thickness": sc.lane_thickness,
-        },
-    )
-    log.info("wrote scene with %d instances to %s", sc.num_instances, out)
+    fileio.write_json(out / "scene.json", asdict(cfg.scene))
+    log.info("wrote scene with %d instances to %s", cfg.scene.num_instances, out)
     return scene
 
 
@@ -114,11 +100,14 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
     log.info("optimized %d steps, final total %s", trace.steps_taken, trace.breakdowns[-1].total)
 
 
-def _cluster_stage(
-    emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: Path
-) -> ClusterResult:
+def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: Path) -> None:
     result, search = cluster_field(emb, mask, cfg.cluster)
-    fileio.write_labels(out / "instances.pgm", LabelMap(result.assignment.values + 1))
+    instances = result.assignment.values + 1
+    fileio.write_labels(out / "instances.pgm", LabelMap(instances))
+    # Each predicted box is scored by its basin's share of the foreground.
+    total_fg = max(mask.count(), 1)
+    scores = [min(1.0, float(b) / total_fg) for b in result.basin_pixels]
+    fileio.write_boxes(out / "pred_boxes.json", [label_boxes(instances, scores)])
     fileio.write_json(
         out / "modes.json",
         {
@@ -130,10 +119,9 @@ def _cluster_stage(
         },
     )
     log.info("found %d clusters", result.num_clusters)
-    return result
 
 
-def _segmentation_report(pred: BinaryMask, gt: BinaryMask) -> dict:
+def _segmentation_report(pred: BinaryMask, gt: BinaryMask, _metrics_cfg) -> dict:
     counts = pixel_confusion(pred, gt)
     flags = []
     if seg_iou_undefined(counts):
@@ -160,28 +148,34 @@ def _detection_report(preds, gts, metrics_cfg) -> dict:
     return report
 
 
-def _instance_report(pred: LabelMap, gt: LabelMap) -> dict:
+def _instance_report(pred: LabelMap, gt: LabelMap, _metrics_cfg) -> dict:
+    validate_pair(pred, gt)
     flags = []
     if instance_map50_empty(pred.num_instances, gt.num_instances):
         flags.append("map50_empty_vs_empty")
     return {"map50": instance_map50_labels(pred, gt), "flags": flags}
 
 
-def _boxes_from_clusters(result, total_fg: int) -> DetectionSet:
-    """Bounding boxes of predicted instances, scored by basin population."""
-    dets = []
-    assign = result.assignment.values
-    for j in range(result.num_clusters):
-        ys, xs = np.nonzero(assign == j)
-        score = min(1.0, float(result.basin_pixels[j]) / max(total_fg, 1))
-        dets.append(
-            Detection(
-                box=(float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1)),
-                class_id=0,
-                score=score,
-            )
-        )
-    return DetectionSet(tuple(dets), image_id=0)
+# Evaluation task -> (prediction flag, target flag, reader, report). A report
+# takes the prediction, the target and the metrics config.
+_EVAL_TASKS = {
+    "drivable_segmentation": (
+        "pred_drivable", "gt_drivable", fileio.read_mask, _segmentation_report
+    ),
+    "lane_segmentation": ("pred_lanes", "gt_lanes", fileio.read_mask, _segmentation_report),
+    "instance_segmentation": ("pred_instances", "gt_labels", fileio.read_labels, _instance_report),
+    "detection": ("pred_boxes", "gt_boxes", fileio.read_boxes, _detection_report),
+}
+
+
+def _eval_stage(pairs: dict, cfg: RunConfig, out: Path) -> None:
+    """Score each task's (prediction path, target path) pair into metrics.json."""
+    report = {}
+    for task, (pred_path, gt_path) in pairs.items():
+        read, task_report = _EVAL_TASKS[task][2:]
+        report[task] = task_report(read(pred_path), read(gt_path), cfg.metrics)
+    fileio.write_json(out / "metrics.json", report)
+    log.info("wrote %s", ", ".join(report))
 
 
 def cmd_gen(args) -> int:
@@ -208,35 +202,17 @@ def cmd_cluster(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    report = {}
-    if (args.pred_drivable is None) != (args.gt_drivable is None):
-        raise ConfigError("drivable evaluation needs both --pred-drivable and --gt-drivable")
-    if args.pred_drivable:
-        report["drivable_segmentation"] = _segmentation_report(
-            fileio.read_mask(args.pred_drivable), fileio.read_mask(args.gt_drivable)
-        )
-    if (args.pred_lanes is None) != (args.gt_lanes is None):
-        raise ConfigError("lane evaluation needs both --pred-lanes and --gt-lanes")
-    if args.pred_lanes:
-        report["lane_segmentation"] = _segmentation_report(
-            fileio.read_mask(args.pred_lanes), fileio.read_mask(args.gt_lanes)
-        )
-    if (args.pred_instances is None) != (args.gt_labels is None):
-        raise ConfigError("instance evaluation needs both --pred-instances and --gt-labels")
-    if args.pred_instances:
-        pred = fileio.read_labels(args.pred_instances)
-        gt = fileio.read_labels(args.gt_labels)
-        validate_pair(pred, gt)
-        report["instance_segmentation"] = _instance_report(pred, gt)
-    if (args.pred_boxes is None) != (args.gt_boxes is None):
-        raise ConfigError("detection evaluation needs both --pred-boxes and --gt-boxes")
-    if args.pred_boxes:
-        preds = fileio.read_boxes(args.pred_boxes)
-        gts = fileio.read_boxes(args.gt_boxes)
-        report["detection"] = _detection_report(preds, gts, cfg.metrics)
-    if not report:
+    pairs = {}
+    for task, (pred_flag, gt_flag, _, _) in _EVAL_TASKS.items():
+        pred, gt = getattr(args, pred_flag), getattr(args, gt_flag)
+        if (pred is None) != (gt is None):
+            flags = f"--{pred_flag} and --{gt_flag}".replace("_", "-")
+            raise ConfigError(f"{task.split('_')[0]} evaluation needs both {flags}")
+        if pred:
+            pairs[task] = (pred, gt)
+    if not pairs:
         raise ConfigError("nothing to evaluate: supply at least one prediction/target pair")
-    fileio.write_json(out / "metrics.json", report)
+    _eval_stage(pairs, cfg, out)
     return 0
 
 
@@ -281,23 +257,15 @@ def cmd_pipeline(args) -> int:
     out = _out_dir(args, cfg)
     scene = _gen_stage(cfg, out)
     _optimize_stage(scene.labels, cfg, out)
-    # Cluster the float32 field as written, exactly what the staged cluster reads.
+    # Cluster and score the files just written, exactly what the staged commands read.
     emb = EmbeddingField(fileio.read_embf(out / "embeddings.embf"))
-    result = _cluster_stage(emb, scene.drivable_mask, cfg, out)
-
-    pred_drivable = BinaryMask((result.assignment.values >= 0).astype(np.uint8))
-    pred_labels = LabelMap(result.assignment.values + 1)
-    report = {
-        "drivable_segmentation": _segmentation_report(pred_drivable, scene.drivable_mask),
-        "instance_segmentation": _instance_report(pred_labels, scene.labels),
-        "detection": _detection_report(
-            [_boxes_from_clusters(result, scene.drivable_mask.count())],
-            [scene.gt_boxes],
-            cfg.metrics,
-        ),
+    _cluster_stage(emb, scene.drivable_mask, cfg, out)
+    pairs = {
+        "drivable_segmentation": (out / "instances.pgm", out / "drivable.pgm"),
+        "instance_segmentation": (out / "instances.pgm", out / "labels.pgm"),
+        "detection": (out / "pred_boxes.json", out / "boxes.json"),
     }
-    fileio.write_json(out / "metrics.json", report)
-    log.info("pipeline finished: %d clusters", result.num_clusters)
+    _eval_stage(pairs, cfg, out)
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryMask, EmbeddingField, Grid2D, validate_pair
+from .core import BinaryMask, EmbeddingField, Grid2D, _freeze, validate_pair
 from .errors import DegenerateShift, EmptyForeground
 from .optimize import normalize_field
 
@@ -68,9 +68,7 @@ class FlatIndex:
     width: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.indices, dtype=np.int64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "indices", arr)
+        object.__setattr__(self, "indices", _freeze(self.indices, np.int64))
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,8 @@ class ModeSearch:
     unconverged_seeds: int  # seeds still moving after max_iters; merged as usual
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.modes, dtype=np.float64).copy()
-        m.setflags(write=False)
-        b = np.ascontiguousarray(self.basin_seeds, dtype=np.int64).copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "modes", m)
-        object.__setattr__(self, "basin_seeds", b)
+        object.__setattr__(self, "modes", _freeze(self.modes, np.float64))
+        object.__setattr__(self, "basin_seeds", _freeze(self.basin_seeds, np.int64))
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,8 @@ class ClusterResult:
     basin_pixels: np.ndarray  # (num_clusters,) pixels assigned to each mode
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.modes, dtype=np.float64).copy()
-        m.setflags(write=False)
-        b = np.ascontiguousarray(self.basin_pixels, dtype=np.int64).copy()
-        b.setflags(write=False)
+        m = _freeze(self.modes, np.float64)
+        b = _freeze(self.basin_pixels, np.int64)
         object.__setattr__(self, "modes", m)
         object.__setattr__(self, "basin_pixels", b)
         if m.shape[0] != self.num_clusters or b.shape[0] != self.num_clusters:

@@ -96,14 +96,20 @@ def _segment_sum(plan: _LabelPlan, rows: np.ndarray) -> np.ndarray:
     )
 
 
-def _foreground_means(emb_values: np.ndarray, plan: _LabelPlan):
-    """Foreground embeddings (n, D) and the instance means (C, D)."""
-    pts = emb_values.reshape(-1, emb_values.shape[2])[plan.fg]
-    return pts, _segment_sum(plan, pts) / plan.counts[:, None]
+def _gather(values: np.ndarray, plan: _LabelPlan) -> np.ndarray:
+    """The foreground rows of an (H, W, D) array in plan order, shaped (n, D)."""
+    return values.reshape(-1, values.shape[2])[plan.fg]
 
 
-def _loss_terms(emb_values: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
-    """The three loss terms, plus the intermediates their gradient reuses.
+def _scatter(rows: np.ndarray, plan: _LabelPlan, shape: tuple) -> np.ndarray:
+    """An (H, W, D) array holding the (n, D) rows at the foreground, zero elsewhere."""
+    out = np.zeros(shape, dtype=np.float64)
+    out.reshape(-1, shape[2])[plan.fg] = rows
+    return out
+
+
+def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
+    """The three loss terms of the foreground rows, plus the intermediates their gradient reuses.
 
     Returns (breakdown, parts). parts holds the instance means; the pull
     differences, distances and hinges per foreground pixel; the mean
@@ -111,7 +117,7 @@ def _loss_terms(emb_values: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeCon
     """
     ids, counts = plan.ids, plan.counts
     c = counts.size
-    pts, means = _foreground_means(emb_values, plan)
+    means = _segment_sum(plan, pts) / counts[:, None]
 
     diff = means[ids] - pts
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -136,16 +142,16 @@ def _loss_terms(emb_values: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeCon
     return LossBreakdown(l_var, l_dist, l_reg, float(total)), parts
 
 
-def _value_and_grad(emb_values: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
-    """Loss terms and their exact gradient w.r.t. every pixel embedding.
+def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
+    """Loss terms and their exact gradient w.r.t. the (n, D) foreground rows.
 
-    The gradient differentiates through the instance means. Hinge boundaries
-    and the regularizer at mu = 0 take the zero subgradient. Background
-    pixels get exactly zero.
+    Returns (breakdown, grad) with grad shaped (n, D) like pts. The gradient
+    differentiates through the instance means. Hinge boundaries and the
+    regularizer at mu = 0 take the zero subgradient.
     """
     ids, counts = plan.ids, plan.counts
     c = counts.size
-    bd, (means, diff, dist, hinge, sep, h, norms) = _loss_terms(emb_values, plan, cfg)
+    bd, (means, diff, dist, hinge, sep, h, norms) = _loss_terms(pts, plan, cfg)
 
     # Pull term. For pixel k of instance c with d_i = mu_c - x_i,
     # h_i = [|d_i| - delta_v]+ and unit directions dhat_i:
@@ -176,16 +182,14 @@ def _value_and_grad(emb_values: np.ndarray, plan: _LabelPlan, cfg: Discriminativ
     nz = norms > 0.0
     unit[nz] = means[nz] / norms[nz, None]
     grad_pts += cfg.gamma * (unit / (c * counts)[:, None])[ids]
-
-    grad = np.zeros(emb_values.shape, dtype=np.float64)
-    grad.reshape(-1, emb_values.shape[2])[plan.fg] = grad_pts
-    return bd, grad
+    return bd, grad_pts
 
 
 def cluster_means(emb: EmbeddingField, labels: LabelMap) -> np.ndarray:
     """Arithmetic mean embedding of each instance, shaped (C, D)."""
     validate_pair(emb, labels)
-    return _foreground_means(emb.values, _plan_labels(labels.values))[1]
+    plan = _plan_labels(labels.values)
+    return _segment_sum(plan, _gather(emb.values, plan)) / plan.counts[:, None]
 
 
 def discriminative_loss(
@@ -193,7 +197,8 @@ def discriminative_loss(
 ) -> LossBreakdown:
     """Evaluate all three terms of the discriminative loss."""
     validate_pair(emb, labels)
-    return _loss_terms(emb.values, _plan_labels(labels.values), cfg)[0]
+    plan = _plan_labels(labels.values)
+    return _loss_terms(_gather(emb.values, plan), plan, cfg)[0]
 
 
 def discriminative_grad(
@@ -206,4 +211,6 @@ def discriminative_grad(
     exactly zero.
     """
     validate_pair(emb, labels)
-    return _value_and_grad(emb.values, _plan_labels(labels.values), cfg)[1]
+    plan = _plan_labels(labels.values)
+    grad = _value_and_grad(_gather(emb.values, plan), plan, cfg)[1]
+    return _scatter(grad, plan, emb.values.shape)

@@ -51,6 +51,22 @@ class DetectionSet:
         object.__setattr__(self, "detections", tuple(self.detections))
 
 
+def label_boxes(values: np.ndarray, scores: Optional[Sequence[float]] = None) -> DetectionSet:
+    """Class-0 bounding box of each instance 1..C of a label grid (0 = background).
+
+    Boxes are (x_min, y_min, x_max + 1, y_max + 1) in pixel units, in label
+    order. Without scores C is the largest label; with scores there is one
+    score per label and C is their count. Every label 1..C must own a pixel.
+    """
+    n = int(values.max(initial=0)) if scores is None else len(scores)
+    dets = []
+    for i in range(n):
+        ys, xs = np.nonzero(values == i + 1)
+        box = (float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1))
+        dets.append(Detection(box, class_id=0, score=None if scores is None else scores[i]))
+    return DetectionSet(tuple(dets), image_id=0)
+
+
 @dataclass(frozen=True)
 class ConfusionCounts:
     tp: int

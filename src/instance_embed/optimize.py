@@ -16,6 +16,7 @@ import numpy as np
 from .core import BinaryMask, EmbeddingField, LabelMap, validate_pair
 from .errors import DegenerateVector, NonFiniteLoss
 from .losses import DiscriminativeConfig, GradientField, _loss_terms, _plan_labels, _value_and_grad
+from .losses import _gather, _scatter
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,18 @@ def finite_diff_grad(
         raise ValueError(f"step must be > 0, got {step}")
     validate_pair(emb, labels)
     plan = _plan_labels(labels.values)
-    base = emb.values.copy()
-    out = np.zeros_like(base)
-    for y, x in zip(*np.nonzero(labels.values)):
-        for d in range(base.shape[2]):
-            saved = base[y, x, d]
-            base[y, x, d] = saved + step
-            hi = _loss_terms(base, plan, cfg)[0].total
-            base[y, x, d] = saved - step
-            lo = _loss_terms(base, plan, cfg)[0].total
-            base[y, x, d] = saved
-            out[y, x, d] = (hi - lo) / (2.0 * step)
-    return out
+    pts = _gather(emb.values, plan)
+    out = np.zeros_like(pts)
+    for k in range(pts.shape[0]):
+        for d in range(pts.shape[1]):
+            saved = pts[k, d]
+            pts[k, d] = saved + step
+            hi = _loss_terms(pts, plan, cfg)[0].total
+            pts[k, d] = saved - step
+            lo = _loss_terms(pts, plan, cfg)[0].total
+            pts[k, d] = saved
+            out[k, d] = (hi - lo) / (2.0 * step)
+    return _scatter(out, plan, emb.values.shape)
 
 
 def optimize_embeddings(
@@ -100,30 +101,33 @@ def optimize_embeddings(
     Each step subtracts step_size times the analytic gradient; the breakdown
     at initialization and after every update is recorded. Stops when the
     total drops to loss_tolerance or after max_steps updates, whichever
-    comes first.
+    comes first. Only foreground rows move: background pixels keep their
+    initial values, since the loss does not depend on them.
     """
     if d < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {d}")
     plan = _plan_labels(labels.values)
     rng = np.random.default_rng(opt_cfg.seed)
     shape = (labels.height, labels.width, d)
-    cur = rng.uniform(-opt_cfg.init_scale, opt_cfg.init_scale, size=shape)
+    field = rng.uniform(-opt_cfg.init_scale, opt_cfg.init_scale, size=shape)
+    pts = _gather(field, plan)
 
-    bd, grad = _value_and_grad(cur, plan, loss_cfg)
+    bd, grad = _value_and_grad(pts, plan, loss_cfg)
     if not bd.finite():
         raise NonFiniteLoss("loss is not finite at initialization")
     breakdowns = [bd]
     steps = 0
     while bd.total > opt_cfg.loss_tolerance and steps < opt_cfg.max_steps:
-        cur = cur - opt_cfg.step_size * grad
+        pts -= opt_cfg.step_size * grad
         steps += 1
-        if not np.all(np.isfinite(cur)):
+        if not np.all(np.isfinite(pts)):
             raise NonFiniteLoss(f"embeddings diverged after {steps} steps; reduce step_size")
-        bd, grad = _value_and_grad(cur, plan, loss_cfg)
+        bd, grad = _value_and_grad(pts, plan, loss_cfg)
         if not bd.finite():
             raise NonFiniteLoss(f"loss diverged after {steps} steps; reduce step_size")
         breakdowns.append(bd)
-    return OptimizationTrace(tuple(breakdowns), EmbeddingField(cur), steps)
+    field.reshape(-1, d)[plan.fg] = pts
+    return OptimizationTrace(tuple(breakdowns), EmbeddingField(field), steps)
 
 
 def normalize_field(emb: EmbeddingField, mask: BinaryMask | None = None) -> EmbeddingField:

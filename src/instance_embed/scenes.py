@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import BinaryMask, LabelMap
 from .errors import InfeasibleLayout
-from .metrics import Detection, DetectionSet
+from .metrics import Detection, DetectionSet, label_boxes
 
 LAYOUTS = ("parallel_stripes", "fork", "curved_bands")
 
@@ -167,20 +167,11 @@ def gen_scene(cfg: SceneConfig) -> Scene:
         draw_lane(np.zeros(h, dtype=np.int64), spans[0, :, 0])
         draw_lane(spans[0, :, 1], np.full(h, w, dtype=np.int64))
 
-    boxes = []
-    for i in range(c):
-        ys, xs = np.nonzero(labels == i + 1)
-        boxes.append(
-            Detection(
-                box=(float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1)),
-                class_id=0,
-            )
-        )
     return Scene(
         labels=LabelMap(labels),
         drivable_mask=BinaryMask((labels != 0).astype(np.uint8)),
         lane_mask=BinaryMask(lanes),
-        gt_boxes=DetectionSet(tuple(boxes), image_id=0),
+        gt_boxes=label_boxes(labels),
     )
 
 

@@ -308,7 +308,7 @@ class TestPipeline:
         names = sorted(p.name for p in out.iterdir())
         assert names == sorted(GEN_FILES + [
             "embeddings.embf", "trace.json", "instances.pgm", "modes.json",
-            "metrics.json",
+            "pred_boxes.json", "metrics.json",
         ])
         doc = json.loads((out / "metrics.json").read_text())
         assert set(doc) == {"drivable_segmentation", "instance_segmentation", "detection"}
@@ -322,23 +322,38 @@ class TestPipeline:
         assert _dir_bytes(a, names) == _dir_bytes(b, names)
 
     def test_staged_commands_write_the_same_bytes(self, tmp_path):
-        cfg = self._config(tmp_path)
-        whole, staged = tmp_path / "whole", tmp_path / "staged"
-        assert main(["pipeline", "--config", cfg, "--out", str(whole)]) == 0
-        assert main(["gen", "--config", cfg, "--out", str(staged)]) == 0
-        assert main(["optimize", "--config", cfg, "--out", str(staged),
-                     "--labels", str(staged / "labels.pgm")]) == 0
-        assert main(["cluster", "--config", cfg, "--out", str(staged),
-                     "--embeddings", str(staged / "embeddings.embf"),
-                     "--mask", str(staged / "drivable.pgm")]) == 0
-        assert main(["eval", "--config", cfg, "--out", str(staged),
-                     "--pred-instances", str(staged / "instances.pgm"),
-                     "--gt-labels", str(staged / "labels.pgm")]) == 0
-        names = GEN_FILES + ["embeddings.embf", "trace.json", "instances.pgm", "modes.json"]
-        assert _dir_bytes(whole, names) == _dir_bytes(staged, names)
-        whole_doc = json.loads((whole / "metrics.json").read_text())
-        staged_doc = json.loads((staged / "metrics.json").read_text())
-        assert whole_doc["instance_segmentation"] == staged_doc["instance_segmentation"]
+        # The second config dissolves every mode (more pixels per cluster than
+        # the foreground holds), so pred_boxes.json holds no box.
+        no_clusters = _write_config(tmp_path, {
+            "scene": {"num_instances": 2, "seed": 4},
+            "optimizer": {"max_steps": 250, "step_size": 40.0, "seed": 4},
+            "cluster": {"merge_tolerance": 1.6, "seed_stride": 5,
+                        "min_cluster_pixels": 64 * 64 + 1},
+        }, name="no_clusters.json")
+        for cfg, expect_boxes in ((self._config(tmp_path), True), (no_clusters, False)):
+            whole, staged = tmp_path / f"whole{expect_boxes}", tmp_path / f"staged{expect_boxes}"
+            assert main(["pipeline", "--config", cfg, "--out", str(whole)]) == 0
+            assert main(["gen", "--config", cfg, "--out", str(staged)]) == 0
+            assert main(["optimize", "--config", cfg, "--out", str(staged),
+                         "--labels", str(staged / "labels.pgm")]) == 0
+            assert main(["cluster", "--config", cfg, "--out", str(staged),
+                         "--embeddings", str(staged / "embeddings.embf"),
+                         "--mask", str(staged / "drivable.pgm")]) == 0
+            assert main(["eval", "--config", cfg, "--out", str(staged),
+                         "--pred-drivable", str(staged / "instances.pgm"),
+                         "--gt-drivable", str(staged / "drivable.pgm"),
+                         "--pred-instances", str(staged / "instances.pgm"),
+                         "--gt-labels", str(staged / "labels.pgm"),
+                         "--pred-boxes", str(staged / "pred_boxes.json"),
+                         "--gt-boxes", str(staged / "boxes.json")]) == 0
+            names = sorted(p.name for p in whole.iterdir())
+            assert len(names) == 11
+            assert sorted(p.name for p in staged.iterdir()) == names
+            assert _dir_bytes(whole, names) == _dir_bytes(staged, names)
+            boxes = fileio.read_boxes(whole / "pred_boxes.json")[0].detections
+            num_clusters = json.loads((whole / "modes.json").read_text())["num_clusters"]
+            assert len(boxes) == num_clusters
+            assert (num_clusters > 0) == expect_boxes
 
 
 class TestErrorPaths:
