@@ -1,10 +1,15 @@
 """Mean-shift clustering of unit-norm embeddings on the hypersphere.
 
 Each seed point is shifted toward the local mean direction under a
-von Mises-Fisher kernel until it stops moving; converged seeds that agree in
+von Mises-Fisher kernel until it stops moving; seed endpoints that agree in
 direction are merged into modes, and every foreground pixel is assigned to
 its angularly nearest mode. No cluster count is ever supplied: the number of
 recovered modes is purely a property of the data and the kernel width.
+
+All seeds are shifted together, one pass at a time. Between passes, seeds
+still moving within merge_tolerance / 10 of each other are folded into one
+row that carries their count, and only the kept rows are shifted further;
+every reported counter is in original seeds.
 
 The merge is single linkage over the seed endpoints. It is found by a
 breadth-first search that expands a whole frontier at once, in blocks of
@@ -22,9 +27,12 @@ from .core import BinaryMask, EmbeddingField, Grid2D, _freeze, validate_pair
 from .errors import DegenerateShift, EmptyForeground
 from .optimize import normalize_field
 
-# Seeds are iterated, and merge frontiers expanded, in fixed-size blocks,
-# which bounds the block x n dot, kernel-weight and angle matrices.
+# Seeds are iterated, folded and merge frontiers expanded in fixed-size
+# blocks, which bounds the block x n dot, kernel-weight and angle matrices.
 _SEED_BLOCK = 64
+# Between passes, still-moving seeds closer than this share of
+# merge_tolerance are folded into one row.
+_FOLD_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -33,7 +41,7 @@ class VmfConfig:
 
     kappa is the kernel concentration (larger = narrower kernel). Seeds are
     every seed_stride-th foreground point; stride 1 iterates every point.
-    merge_tolerance is transitive: converged seeds chain into one mode
+    merge_tolerance is transitive: seed endpoints chain into one mode
     whenever each link of the chain is within the tolerance.
     """
 
@@ -76,7 +84,7 @@ class ModeSearch:
     """Modes recovered by mean-shift, sorted by descending seed-basin size."""
 
     modes: np.ndarray  # (M, D), unit rows
-    basin_seeds: np.ndarray  # (M,) converged seeds merged into each mode
+    basin_seeds: np.ndarray  # (M,) seeds merged into each mode, folded and unconverged included
     dropped_seeds: int
     unconverged_seeds: int  # seeds still moving after max_iters; merged as usual
 
@@ -163,30 +171,6 @@ def vmf_shift_step(x_points: np.ndarray, x: np.ndarray, kappa: float) -> np.ndar
     return new[0]
 
 
-def _iterate_block(x_points: np.ndarray, seeds: np.ndarray, cfg: VmfConfig):
-    """Shift a block of seeds to convergence.
-
-    Returns (endpoints, dropped, unconverged): the last positions, the seeds
-    whose update degenerated, and the seeds still moving after max_iters.
-    """
-    pts = seeds.copy()
-    n_seeds = pts.shape[0]
-    dropped = np.zeros(n_seeds, dtype=bool)
-    active = np.ones(n_seeds, dtype=bool)
-    for _ in range(cfg.max_iters):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        cur = pts[idx]
-        new, bad = _shift_rows(cur, x_points, cfg.kappa)
-        cos = np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0)
-        moved = np.arccos(cos)
-        pts[idx[~bad]] = new[~bad]
-        dropped[idx[bad]] = True
-        active[idx] = ~(bad | (moved < cfg.shift_tolerance))
-    return pts, dropped, active
-
-
 def _single_linkage(pts: np.ndarray, tol: float) -> np.ndarray:
     """Connected components of the graph joining rows within angle tol.
 
@@ -215,46 +199,100 @@ def _single_linkage(pts: np.ndarray, tol: float) -> np.ndarray:
     return comp
 
 
+def _fold_rows(pts: np.ndarray, rows: np.ndarray, weight: np.ndarray, cos_fold: float):
+    """Fold rows that already agree into one: a greedy ascending leader scan.
+
+    Each of rows (ascending) is kept unless its cosine with an earlier kept
+    row is at least cos_fold; then its weight is added to the first such
+    row and its own weight set to 0. Rows are compared _SEED_BLOCK at a time
+    against the rows kept so far, so memory grows as _SEED_BLOCK x kept
+    rows. Returns the kept rows, ascending.
+    """
+    kept = np.empty(rows.size, dtype=np.int64)
+    kept_pts = np.empty((rows.size, pts.shape[1]))
+    n_kept = 0
+    for i in range(0, rows.size, _SEED_BLOCK):
+        blk = rows[i : i + _SEED_BLOCK]
+        cur = pts[blk]
+        taken = np.zeros(blk.size, dtype=bool)
+        if n_kept:
+            near = cur @ kept_pts[:n_kept].T >= cos_fold
+            taken = near.any(axis=1)
+            np.add.at(weight, kept[near.argmax(axis=1)[taken]], weight[blk[taken]])
+        later = np.triu(cur @ cur.T >= cos_fold, 1)
+        for r in np.flatnonzero(later.any(axis=1) & ~taken):
+            if not taken[r]:
+                joins = later[r] & ~taken
+                weight[blk[r]] += weight[blk[joins]].sum()
+                taken |= joins
+        weight[blk[taken]] = 0
+        lead = np.flatnonzero(~taken)
+        kept[n_kept : n_kept + lead.size] = blk[lead]
+        kept_pts[n_kept : n_kept + lead.size] = cur[lead]
+        n_kept += lead.size
+    return kept[:n_kept]
+
+
 def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     """Iterate strided seeds to their modes and merge coinciding directions.
 
-    Seeds that raise DegenerateShift are dropped and counted; seeds still
-    moving after max_iters are counted as unconverged and merged from where
-    they stopped. Surviving endpoints are merged by single linkage: endpoints
-    within merge_tolerance angular distance share a mode, transitively. Each
-    mode is the renormalized mean of its merged endpoints, and modes are
-    sorted by descending basin seed count (ties: the earliest contributing
-    seed first).
+    All seeds are iterated jointly: each pass shifts every still-moving row
+    once, _SEED_BLOCK rows at a time. Between passes, moving rows within
+    _FOLD_FRACTION * merge_tolerance of an earlier kept moving row are
+    folded into it (_fold_rows), and a row carries the count of original
+    seeds it stands for; a folded seed shares its row's fate from then on.
+    Seeds whose update degenerates (DegenerateShift) are dropped and
+    counted; seeds still moving after max_iters are counted as unconverged
+    and merged from where they stopped. Surviving rows are merged by single
+    linkage: rows within merge_tolerance angular distance share a mode,
+    transitively. Each mode is the renormalized seed-weighted mean of its
+    rows, and modes are sorted by descending basin seed count (ties: the
+    earliest contributing seed first). Every counter is in original seeds.
     """
     if x_points.ndim != 2 or x_points.shape[0] == 0:
         raise ValueError("point matrix must be non-empty (n, D)")
-    seeds = x_points[:: cfg.seed_stride]
-    results = [
-        _iterate_block(x_points, seeds[i : i + _SEED_BLOCK], cfg)
-        for i in range(0, seeds.shape[0], _SEED_BLOCK)
-    ]
-    endpoints = np.concatenate([r[0] for r in results], axis=0)
-    dropped = np.concatenate([r[1] for r in results], axis=0)
-    n_unconverged = int(sum(r[2].sum() for r in results))
+    pts = x_points[:: cfg.seed_stride].copy()
+    weight = np.ones(pts.shape[0], dtype=np.int64)  # original seeds per row
+    dropped = np.zeros(pts.shape[0], dtype=bool)
+    moving = np.arange(pts.shape[0])
+    cos_fold = math.cos(_FOLD_FRACTION * cfg.merge_tolerance)
+    for it in range(cfg.max_iters):
+        if it:
+            moving = _fold_rows(pts, moving, weight, cos_fold)
+        still = np.zeros(moving.size, dtype=bool)
+        for i in range(0, moving.size, _SEED_BLOCK):
+            blk = moving[i : i + _SEED_BLOCK]
+            cur = pts[blk]
+            new, bad = _shift_rows(cur, x_points, cfg.kappa)
+            moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
+            pts[blk[~bad]] = new[~bad]
+            dropped[blk[bad]] = True
+            still[i : i + blk.size] = ~(bad | (moved < cfg.shift_tolerance))
+        moving = moving[still]
+        if moving.size == 0:
+            break
+    n_unconverged = int(weight[moving].sum())
+    n_dropped = int(weight[dropped].sum())
 
-    alive = np.flatnonzero(~dropped)
-    n_dropped = int(dropped.sum())
+    alive = np.flatnonzero(~dropped & (weight > 0))
     modes = []
     counts = []
     first_seed = []
     if alive.size:
-        pts = endpoints[alive]
+        pts = pts[alive]
+        weight = weight[alive]
         comp = _single_linkage(pts, cfg.merge_tolerance)
         # members of each component in ascending row order, the root first
         by_comp = np.argsort(comp, kind="stable")
         for members in np.split(by_comp, np.cumsum(np.bincount(comp))[:-1]):
-            mean = pts[members].mean(axis=0)
+            count = int(weight[members].sum())
+            mean = weight[members] @ pts[members] / count
             norm = float(np.sqrt(mean @ mean))
             if norm < 1e-12:
-                n_dropped += members.size
+                n_dropped += count
                 continue
             modes.append(mean / norm)
-            counts.append(members.size)
+            counts.append(count)
             first_seed.append(int(alive[members[0]]))
     if not modes:
         return ModeSearch(

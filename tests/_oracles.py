@@ -299,6 +299,63 @@ def oracle_single_linkage(pts: np.ndarray, tol: float) -> np.ndarray:
     return comp
 
 
+def oracle_mean_shift(x_points: np.ndarray, kappa: float, max_iters: int,
+                      shift_tolerance: float, merge_tolerance: float, seed_stride: int):
+    """Uncollapsed mean shift: (modes, basin_seeds, dropped, unconverged).
+
+    Every strided seed is shifted on its own, in blocks of 64 run to
+    convergence one after the other, and the endpoints are merged by
+    oracle_single_linkage into plain means, sorted by descending basin seed
+    count, ties by earliest seed.
+    """
+    seeds = x_points[::seed_stride]
+    ends, dropped, moving = [], [], []
+    for start in range(0, seeds.shape[0], 64):
+        pts = seeds[start:start + 64].copy()
+        gone = np.zeros(pts.shape[0], dtype=bool)
+        active = np.ones(pts.shape[0], dtype=bool)
+        for _ in range(max_iters):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            cur = pts[idx]
+            w = cur @ x_points.T
+            w -= w.max(axis=1, keepdims=True)
+            w *= kappa
+            np.exp(w, out=w)
+            s = w @ x_points
+            norms = np.sqrt(np.einsum("ij,ij->i", s, s))
+            bad = norms < 1e-12 * w.sum(axis=1)
+            new = s / np.where(bad, 1.0, norms)[:, None]
+            moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
+            pts[idx[~bad]] = new[~bad]
+            gone[idx[bad]] = True
+            active[idx] = ~(bad | (moved < shift_tolerance))
+        ends.append(pts)
+        dropped.append(gone)
+        moving.append(active)
+    ends = np.concatenate(ends)
+    dropped = np.concatenate(dropped)
+    n_unconverged = int(np.concatenate(moving).sum())
+    n_dropped = int(dropped.sum())
+    alive = np.flatnonzero(~dropped)
+    found = []  # (count, first seed, mode)
+    if alive.size:
+        comp = oracle_single_linkage(ends[alive], merge_tolerance)
+        for c in range(comp.max() + 1):
+            members = alive[comp == c]
+            mean = ends[members].mean(axis=0)
+            norm = math.sqrt(float(mean @ mean))
+            if norm < 1e-12:
+                n_dropped += members.size
+                continue
+            found.append((members.size, int(members[0]), mean / norm))
+    found.sort(key=lambda f: (-f[0], f[1]))
+    modes = np.array([f[2] for f in found]).reshape(len(found), x_points.shape[1])
+    basin = np.array([f[0] for f in found], dtype=np.int64)
+    return modes, basin, n_dropped, n_unconverged
+
+
 # ---------------------------------------------------------------------------
 # deformable sampling
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from instance_embed import (
     vmf_shift_step,
 )
 
-from instance_embed.clustering import _single_linkage
+from instance_embed.clustering import _fold_rows, _single_linkage
 
-from _oracles import oracle_kde, oracle_single_linkage, oracle_vmf_step
+from _oracles import oracle_kde, oracle_mean_shift, oracle_single_linkage, oracle_vmf_step
 
 
 def _unit(v):
@@ -188,6 +188,69 @@ class TestModeSearch:
         search = mean_shift_modes(x, VmfConfig(kappa=10.0, max_iters=1, seed_stride=2))
         assert 0 < search.unconverged_seeds <= 100
         assert search.dropped_seeds == 0
+
+
+def _bundle_set(rng, d):
+    """One to four bundles of 20 to 199 points, spreads 0.02 to 0.3, shuffled."""
+    parts = [
+        _bundle(rng, _unit(rng.standard_normal(d)), int(rng.integers(20, 200)),
+                float(rng.uniform(0.02, 0.3)), d)
+        for _ in range(rng.integers(1, 5))
+    ]
+    x = np.concatenate(parts)
+    return x[rng.permutation(x.shape[0])]
+
+
+class TestSeedCollapse:
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_matches_uncollapsed_oracle(self, d):
+        # Folded seeds move the modes slightly (largest angle to the
+        # oracle's over these 36 cases: 1.1e-3 rad), but not the partition.
+        for seed in range(12):
+            rng = np.random.default_rng(1000 * d + seed)
+            x = _bundle_set(rng, d)
+            cfg = VmfConfig(
+                kappa=float(rng.choice([10.0, 50.0])),
+                merge_tolerance=float(rng.choice([0.1, 0.3])),
+                seed_stride=int(rng.integers(1, 4)),
+            )
+            got = mean_shift_modes(x, cfg)
+            modes, basin, dropped, _ = oracle_mean_shift(
+                x, cfg.kappa, cfg.max_iters, cfg.shift_tolerance, cfg.merge_tolerance,
+                cfg.seed_stride)
+            index = FlatIndex(np.arange(x.shape[0]), 1, x.shape[0])
+            np.testing.assert_array_equal(
+                assign_to_modes(x, index, got.modes, cfg).assignment.values,
+                assign_to_modes(x, index, modes, cfg).assignment.values,
+            )
+            np.testing.assert_array_equal(got.basin_seeds, basin)
+            assert got.dropped_seeds == dropped
+
+    def test_fold_is_greedy_leader_scan(self):
+        # rows 0.004 rad apart with a 0.01 rad fold: each kept row takes the
+        # next two, so every third row is kept; rows 64 and 65 open the
+        # second block and join row 63, kept in the first
+        theta = 0.004 * np.arange(130)
+        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        weight = np.ones(130, dtype=np.int64)
+        kept = _fold_rows(pts, np.arange(130), weight, np.cos(0.01))
+        np.testing.assert_array_equal(kept, np.arange(0, 130, 3))
+        np.testing.assert_array_equal(weight[kept], [3] * 43 + [1])
+        assert weight.sum() == 130
+
+    def test_memory_bounded_by_block_rows(self):
+        # 20000 seeds and points in D = 8: one dense seeds x points kernel
+        # matrix alone would take 20000^2 * 8 bytes = 3.2 GB
+        rng = np.random.default_rng(13)
+        x = np.concatenate([_bundle(rng, c, 5000, 0.01, 8) for c in np.eye(8)[:4]])
+        tracemalloc.start()
+        try:
+            search = mean_shift_modes(x, VmfConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(search.basin_seeds, [5000] * 4)
+        assert peak < 64 * 2**20
 
 
 def _endpoint_set(rng, d, tol):
