@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("pipeline", help="gen, optimize, normalize, cluster, eval")
+    p = sub.add_parser("pipeline", help="gen, optimize, cluster and eval on the files they write")
     common(p)
     p.set_defaults(func=cmd_pipeline)
 

@@ -309,10 +309,10 @@ def assign_to_modes(
 ) -> ClusterResult:
     """Assign every point to its angularly nearest mode and dissolve runts.
 
-    Clusters owning fewer than min_cluster_pixels pixels are dissolved and
-    their pixels reassigned to the nearest surviving mode; ties go to the
-    lowest mode index. With no mode or no survivor at all, every pixel is
-    left unassigned (-1).
+    Clusters owning fewer than min_cluster_pixels pixels, or no pixel at all,
+    are dissolved and their pixels reassigned to the nearest surviving mode;
+    ties go to the lowest mode index. With no mode or no survivor at all,
+    every pixel is left unassigned (-1).
     """
     if modes.ndim != 2:
         raise ValueError("modes must be an (M, D) matrix")
@@ -322,7 +322,7 @@ def assign_to_modes(
     if n_modes:
         dots = x_points @ modes.T
         assign = np.argmax(dots, axis=1)
-        keep = np.bincount(assign, minlength=n_modes) >= cfg.min_cluster_pixels
+        keep = np.bincount(assign, minlength=n_modes) >= max(cfg.min_cluster_pixels, 1)
     if not keep.any():
         empty = np.zeros((0, modes.shape[1]))
         return ClusterResult(

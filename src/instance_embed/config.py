@@ -56,32 +56,25 @@ _SECTION_TYPES = {
     "metrics": MetricsConfig,
 }
 
+# Accepted JSON values per field type; every config module postpones
+# annotations, so a field's type is its name as a string.
 _TYPE_CHECKS = {
-    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
-    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    bool: lambda v: isinstance(v, bool),
-    str: lambda v: isinstance(v, str),
-    tuple: lambda v: isinstance(v, (list, tuple)),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple": lambda v: isinstance(v, (list, tuple)),
 }
 
 
 def _build_section(name: str, cls, data: dict):
-    if not isinstance(data, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    spec_fields = {f.name: f for f in fields(cls)}
-    kwargs = {}
+    field_types = {f.name: f.type for f in fields(cls)}
     for key, value in data.items():
-        if key not in spec_fields:
+        if key not in field_types:
             raise ConfigError(f"{name}: unknown key {key!r}")
-        ftype = spec_fields[key].type
-        base = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}.get(
-            ftype if isinstance(ftype, str) else getattr(ftype, "__name__", ""), None
-        )
-        if base is not None and not _TYPE_CHECKS[base](value):
-            raise ConfigError(f"{name}.{key}: expected {base.__name__}, got {value!r}")
-        kwargs[key] = value
+        if not _TYPE_CHECKS[field_types[key]](value):
+            raise ConfigError(f"{name}.{key}: expected {field_types[key]}, got {value!r}")
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 

@@ -30,18 +30,8 @@ def _check_plane(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} needs height >= 1 and width >= 1, got {h}x{w}")
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Dense row-major 2D grid of per-pixel scalar values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values)
-        if arr.ndim != 2:
-            raise ValueError(f"Grid2D values must be 2-dimensional, got ndim {arr.ndim}")
-        _check_plane(arr, "Grid2D")
-        object.__setattr__(self, "values", _freeze(arr, arr.dtype))
+class _Plane:
+    """Height and width of a value whose array leads with (H, W) axes."""
 
     @property
     def height(self) -> int:
@@ -53,7 +43,21 @@ class Grid2D:
 
 
 @dataclass(frozen=True)
-class EmbeddingField:
+class Grid2D(_Plane):
+    """Dense row-major 2D grid of per-pixel scalar values."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.values)
+        if arr.ndim != 2:
+            raise ValueError(f"Grid2D values must be 2-dimensional, got ndim {arr.ndim}")
+        _check_plane(arr, "Grid2D")
+        object.__setattr__(self, "values", _freeze(arr, arr.dtype))
+
+
+@dataclass(frozen=True)
+class EmbeddingField(_Plane):
     """H x W grid of D-dimensional real vectors.
 
     `normalized` records that every vector (or every foreground vector, when
@@ -75,20 +79,12 @@ class EmbeddingField:
         object.__setattr__(self, "values", _freeze(arr, np.float64))
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def dim(self) -> int:
         return self.values.shape[2]
 
 
 @dataclass(frozen=True)
-class LabelMap:
+class LabelMap(_Plane):
     """H x W grid of non-negative integer instance IDs; 0 is background.
 
     Construction accepts any non-negative IDs. num_instances counts the
@@ -113,14 +109,6 @@ class LabelMap:
         distinct = np.unique(frozen)
         object.__setattr__(self, "num_instances", int((distinct > 0).sum()))
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
     def is_contiguous(self) -> bool:
         """True when the non-zero IDs are exactly {1..num_instances}."""
         ids = np.unique(self.values)
@@ -129,7 +117,7 @@ class LabelMap:
 
 
 @dataclass(frozen=True)
-class BinaryMask:
+class BinaryMask(_Plane):
     """H x W grid of {0, 1}."""
 
     values: np.ndarray
@@ -145,14 +133,6 @@ class BinaryMask:
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("BinaryMask values must be 0 or 1")
         object.__setattr__(self, "values", _freeze(arr, np.uint8))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
     def count(self) -> int:
         return int(self.values.sum())

@@ -1,10 +1,14 @@
 """Segmentation and detection evaluation metrics.
 
-Covers per-pixel IoU and accuracy from confusion counts, greedy box matching
-with average precision over one or many IoU thresholds, recall at a score
-cutoff, and single-class mask AP for instance partitions. Average precision
-always uses all-point interpolation: the precision curve is made monotone
-non-increasing from the right and integrated over recall.
+Covers per-pixel IoU and accuracy from confusion counts, box average
+precision over one or many IoU thresholds, recall at a score cutoff, and
+single-class mask AP for instance partitions. Boxes and masks are scored
+through one path: an IoU table is built once, with predictions as rows in
+rank order and ground truths as columns (`_class_table` for boxes, a joint
+label histogram for masks), and one greedy matcher (`_greedy_flags`) walks
+its rows at each threshold. Average precision always uses all-point
+interpolation: the precision curve is made monotone non-increasing from the
+right and integrated over recall.
 """
 from __future__ import annotations
 
@@ -116,79 +120,73 @@ def pixel_accuracy(counts: ConfusionCounts) -> float:
     return (counts.tp + counts.tn) / counts.total
 
 
+def _iou_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) IoU of (x1, y1, x2, y2) box rows; 0 where disjoint."""
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a[:, None] + area_b[None, :] - inter)
+
+
+def _boxes(boxes) -> np.ndarray:
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
 def box_iou(a: tuple, b: tuple) -> float:
     """Intersection over union of two (x1, y1, x2, y2) boxes; 0 if disjoint."""
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+    return float(_iou_table(_boxes([a]), _boxes([b]))[0, 0])
 
 
-def _gt_pools(gts: Sequence[DetectionSet], class_id: int):
-    """Ground-truth boxes of one class, pooled per image_id."""
-    pools = {}
-    for ds in gts:
-        pool = pools.setdefault(ds.image_id, [])
-        for det in ds.detections:
-            if det.class_id == class_id:
-                pool.append(det.box)
-    return pools
+def _class_table(preds: Sequence[DetectionSet], gts: Sequence[DetectionSet], class_id: int):
+    """Ranked scores and the (P, G) box-IoU table of one class.
 
-
-def _ranked_predictions(preds: Sequence[DetectionSet], class_id: int):
-    """Class predictions sorted by descending score, ties by insertion order."""
-    items = []
+    Rows are the class's predictions by descending score, ties in insertion
+    order; columns are its ground-truth boxes in insertion order. Pairs from
+    different images get -inf, so they never match.
+    """
+    rows = []
     for ds in preds:
         for det in ds.detections:
-            if det.class_id != class_id:
-                continue
-            if det.score is None:
-                raise ValueError("predictions must carry scores")
-            items.append((det.score, ds.image_id, det.box))
-    items.sort(key=lambda it: -it[0])  # stable: insertion order breaks ties
-    return items
+            if det.class_id == class_id:
+                if det.score is None:
+                    raise ValueError("predictions must carry scores")
+                rows.append((det.score, ds.image_id, det.box))
+    rows.sort(key=lambda r: -r[0])  # stable: insertion order breaks ties
+    cols = [(ds.image_id, d.box) for ds in gts for d in ds.detections if d.class_id == class_id]
+    iou = _iou_table(_boxes([r[2] for r in rows]), _boxes([c[1] for c in cols]))
+    iou[np.array([r[1] for r in rows])[:, None] != np.array([c[0] for c in cols])] = -np.inf
+    return np.array([r[0] for r in rows], dtype=np.float64), iou
 
 
-def _greedy_match_flags(ranked, pools, iou_thr: float):
-    """True/false positive flag per ranked prediction under greedy matching.
+def _greedy_flags(iou: np.ndarray, thr: float) -> np.ndarray:
+    """True/false positive flag per row of a (P, G) IoU table in rank order.
 
-    Each prediction takes the unmatched same-image ground truth with the
-    highest IoU, provided that IoU reaches the threshold.
+    Each row takes the open column with the highest IoU (the first one on
+    ties) and is a true positive, closing that column, when the IoU reaches
+    the threshold.
     """
-    unmatched = {img: list(range(len(boxes))) for img, boxes in pools.items()}
-    flags = []
-    for _, img, box in ranked:
-        open_ids = unmatched.get(img)
-        best_iou = -1.0
-        best_pos = -1
-        if open_ids:
-            boxes = pools[img]
-            for pos, gi in enumerate(open_ids):
-                iou = box_iou(box, boxes[gi])
-                if iou > best_iou:
-                    best_iou = iou
-                    best_pos = pos
-        if best_pos >= 0 and best_iou >= iou_thr:
-            open_ids.pop(best_pos)
-            flags.append(True)
-        else:
-            flags.append(False)
+    flags = np.zeros(iou.shape[0], dtype=bool)
+    if iou.shape[1] == 0:
+        return flags
+    open_iou = iou.copy()
+    for i, row in enumerate(open_iou):
+        j = int(np.argmax(row))
+        if row[j] >= thr:
+            flags[i] = True
+            open_iou[:, j] = -np.inf
     return flags
 
 
-def _ap_from_flags(flags, n_gt: int) -> float:
+def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
     """All-point interpolated AP from ranked TP/FP flags."""
     if n_gt == 0:
-        return 1.0 if not flags else 0.0
-    if not flags:
+        return 1.0 if flags.size == 0 else 0.0
+    if flags.size == 0:
         return 0.0
-    tp = np.cumsum(np.asarray(flags, dtype=np.float64))
-    ranks = np.arange(1, len(flags) + 1, dtype=np.float64)
+    tp = np.cumsum(flags, dtype=np.float64)
+    ranks = np.arange(1, flags.size + 1, dtype=np.float64)
     recall = tp / n_gt
     precision = tp / ranks
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
@@ -207,11 +205,8 @@ def detection_ap(
     Empty conventions: with no ground truth, AP is 1.0 when there are also no
     predictions and 0.0 otherwise.
     """
-    pools = _gt_pools(gts, class_id)
-    ranked = _ranked_predictions(preds, class_id)
-    n_gt = sum(len(v) for v in pools.values())
-    flags = _greedy_match_flags(ranked, pools, iou_thr)
-    return _ap_from_flags(flags, n_gt)
+    _, iou = _class_table(preds, gts, class_id)
+    return _ap_from_flags(_greedy_flags(iou, iou_thr), iou.shape[1])
 
 
 def detection_empty(
@@ -233,7 +228,8 @@ def map_50_95(
         raise ValueError("classes must be non-empty")
     per_class = []
     for cls in classes:
-        aps = [detection_ap(preds, gts, cls, thr) for thr in MAP_THRESHOLDS]
+        _, iou = _class_table(preds, gts, cls)
+        aps = [_ap_from_flags(_greedy_flags(iou, thr), iou.shape[1]) for thr in MAP_THRESHOLDS]
         per_class.append(sum(aps) / len(aps))
     return sum(per_class) / len(per_class)
 
@@ -249,22 +245,13 @@ def detection_recall(
     total_gt = 0
     total_tp = 0
     for cls in classes:
-        pools = _gt_pools(gts, cls)
-        n_gt = sum(len(v) for v in pools.values())
-        total_gt += n_gt
-        ranked = [it for it in _ranked_predictions(preds, cls) if it[0] >= score_thr]
-        flags = _greedy_match_flags(ranked, pools, iou_thr)
-        total_tp += sum(flags)
+        scores, iou = _class_table(preds, gts, cls)
+        total_gt += iou.shape[1]
+        # scores descend, so the rows at score_thr and up are a prefix
+        total_tp += int(_greedy_flags(iou[: int((scores >= score_thr).sum())], iou_thr).sum())
     if total_gt == 0:
         raise NoGroundTruth("recall needs at least one ground-truth box")
     return total_tp / total_gt
-
-
-def _label_masks(values: np.ndarray):
-    """(id, boolean mask) per distinct non-zero label, ascending by id."""
-    ids = np.unique(values)
-    ids = ids[ids > 0]
-    return [(int(i), values == i) for i in ids]
 
 
 def instance_map50_labels(pred: LabelMap, gt: LabelMap) -> float:
@@ -275,29 +262,17 @@ def instance_map50_labels(pred: LabelMap, gt: LabelMap) -> float:
     with the highest mask IoU.
     """
     validate_pair(pred, gt)
-    gt_masks = [m for _, m in _label_masks(gt.values)]
-    pred_masks = [m for _, m in _label_masks(pred.values)]
-    order = sorted(range(len(pred_masks)), key=lambda i: -int(pred_masks[i].sum()))
-    open_gt = list(range(len(gt_masks)))
-    flags = []
-    for i in order:
-        pm = pred_masks[i]
-        best_iou = -1.0
-        best_pos = -1
-        for pos, gi in enumerate(open_gt):
-            gm = gt_masks[gi]
-            inter = int((pm & gm).sum())
-            union = int((pm | gm).sum())
-            iou = inter / union if union else 0.0
-            if iou > best_iou:
-                best_iou = iou
-                best_pos = pos
-        if best_pos >= 0 and best_iou >= 0.5:
-            open_gt.pop(best_pos)
-            flags.append(True)
-        else:
-            flags.append(False)
-    return _ap_from_flags(flags, len(gt_masks))
+    p_ids, p_inv = np.unique(pred.values, return_inverse=True)
+    g_ids, g_inv = np.unique(gt.values, return_inverse=True)
+    # joint pixel counts of every (pred label, gt label) pair, background included
+    joint = np.bincount(
+        p_inv.ravel() * g_ids.size + g_inv.ravel(), minlength=p_ids.size * g_ids.size
+    ).reshape(p_ids.size, g_ids.size)
+    p_size = joint.sum(axis=1)[p_ids > 0]
+    order = np.argsort(-p_size, kind="stable")  # labels ascend, so ties go to the lower one
+    inter = joint[p_ids > 0][order][:, g_ids > 0]
+    iou = inter / (p_size[order, None] + joint.sum(axis=0)[g_ids > 0] - inter)
+    return _ap_from_flags(_greedy_flags(iou, 0.5), iou.shape[1])
 
 
 def instance_map50_empty(pred_instances: int, gt_instances: int) -> bool:

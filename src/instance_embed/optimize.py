@@ -18,6 +18,8 @@ from .errors import DegenerateVector, NonFiniteLoss
 from .losses import DiscriminativeConfig, GradientField, _loss_terms, _plan_labels, _value_and_grad
 from .losses import _gather, _scatter
 
+_INIT_SCALE = 1.0  # half-width of the uniform initial embeddings
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -32,7 +34,6 @@ class OptimizerConfig:
     max_steps: int = 600
     loss_tolerance: float = 0.0
     seed: int = 0
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.step_size) or self.step_size <= 0:
@@ -41,8 +42,6 @@ class OptimizerConfig:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if not math.isfinite(self.loss_tolerance) or self.loss_tolerance < 0:
             raise ValueError(f"loss_tolerance must be >= 0, got {self.loss_tolerance}")
-        if not math.isfinite(self.init_scale) or self.init_scale <= 0:
-            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -97,7 +96,7 @@ def optimize_embeddings(
 ) -> OptimizationTrace:
     """Descend the discriminative loss from a seeded uniform initialization.
 
-    Embeddings start uniform in [-init_scale, +init_scale] per coordinate.
+    Embeddings start uniform in [-1, +1] per coordinate.
     Each step subtracts step_size times the analytic gradient; the breakdown
     at initialization and after every update is recorded. Stops when the
     total drops to loss_tolerance or after max_steps updates, whichever
@@ -109,7 +108,7 @@ def optimize_embeddings(
     plan = _plan_labels(labels.values)
     rng = np.random.default_rng(opt_cfg.seed)
     shape = (labels.height, labels.width, d)
-    field = rng.uniform(-opt_cfg.init_scale, opt_cfg.init_scale, size=shape)
+    field = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
     pts = _gather(field, plan)
 
     bd, grad = _value_and_grad(pts, plan, loss_cfg)

@@ -161,6 +161,29 @@ def oracle_ap(preds, gts, class_id: int, thr: float) -> float:
     return ap
 
 
+def oracle_recall(preds, gts, classes, iou_thr: float, score_thr: float) -> float:
+    """Recall via maximum matching of the predictions scored score_thr and up.
+
+    Same input form and the same disjoint-ground-truth caveat as oracle_ap.
+    True positives and ground-truth boxes are pooled over the classes.
+    """
+    tp = 0
+    n_gt = 0
+    for cls in classes:
+        gt_list = [(image_id, box) for image_id, dets in gts
+                   for box, c, _ in dets if c == cls]
+        adj = [
+            [j for j, (gt_img, gt_box) in enumerate(gt_list)
+             if gt_img == image_id and oracle_box_iou(box, gt_box) >= iou_thr]
+            for image_id, dets in preds
+            for box, c, score in dets
+            if c == cls and score >= score_thr
+        ]
+        tp += _max_matching(adj)
+        n_gt += len(gt_list)
+    return tp / n_gt
+
+
 def disjoint_boxes(rng: np.random.Generator, count: int, span: float = 100.0,
                    min_side: float = 4.0, max_side: float = 16.0, gap: float = 2.0):
     """Axis-aligned boxes that are pairwise separated by at least gap."""

@@ -1,4 +1,5 @@
 """Spherical mean-shift clustering: fixed points, merging, assignment."""
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,8 @@ from instance_embed import (
     vmf_shift_step,
 )
 
+from instance_embed import fileio
+from instance_embed.cli import main
 from instance_embed.clustering import _fold_rows, _single_linkage
 
 from _oracles import oracle_kde, oracle_mean_shift, oracle_single_linkage, oracle_vmf_step
@@ -382,6 +385,16 @@ class TestAssignment:
         assert result.basin_pixels.shape == (0,)
         assert np.all(result.assignment.values == -1)
 
+    def test_mode_without_pixels_dissolves_at_zero_minimum(self):
+        # the second mode is antipodal to every point, so it wins no pixel
+        x = _bundle(np.random.default_rng(5), _unit([1, 0, 0]), 6, 0.01, 3)
+        index = FlatIndex(np.arange(6), 2, 3)
+        modes = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        result = assign_to_modes(x, index, modes, VmfConfig(min_cluster_pixels=0))
+        assert result.num_clusters == 1
+        np.testing.assert_array_equal(result.basin_pixels, [6])
+        assert np.all(result.assignment.values == 0)
+
     def test_background_pixels_stay_negative(self):
         x, _, _ = _planted(seed=0, n_per=20)
         # place the 60 points into a 10x10 grid, leaving 40 background cells
@@ -443,6 +456,25 @@ class TestClusterField:
         b, _ = cluster_field(self._field_from_points(x, 12, 15), mask, VmfConfig(kappa=10.0))
         assert a.num_clusters == b.num_clusters
         np.testing.assert_array_equal(a.assignment.values, b.assignment.values)
+
+    @pytest.mark.parametrize("seed", [2, 12])
+    def test_cli_drops_modes_that_win_no_pixel(self, tmp_path, seed):
+        # random 8x8x3 fields where merge_tolerance 0.02 leaves modes that no
+        # pixel is nearest to; even at min_cluster_pixels 0 they must be
+        # dissolved, since every predicted instance gets a box
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"cluster": {"kappa": 3.0, "merge_tolerance": 0.02, "min_cluster_pixels": 0}}
+        ))
+        fileio.write_embf(tmp_path / "emb.embf",
+                          np.random.default_rng(seed).standard_normal((8, 8, 3)))
+        fileio.write_mask(tmp_path / "mask.pgm", BinaryMask(np.ones((8, 8), dtype=np.uint8)))
+        rc = main(["cluster", "--config", str(cfg), "--embeddings", str(tmp_path / "emb.embf"),
+                   "--mask", str(tmp_path / "mask.pgm"), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        basin = json.loads((tmp_path / "out" / "modes.json").read_text())["basin_pixels"]
+        assert basin and min(basin) >= 1
+        assert sum(basin) == 64
 
 
 class TestConfigAndResultValidation:

@@ -84,6 +84,14 @@ class TestTypes:
         assert main(["gen", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
 
+    def test_removed_init_scale_key_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_run_config({"optimizer": {"init_scale": 1.0}})
+        assert "init_scale" in str(err.value)
+        p = tmp_path / "run.json"
+        p.write_text('{"optimizer": {"init_scale": 1.0}}\n')
+        assert main(["pipeline", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
 class TestEmbeddingDim:
     def test_dim_rides_in_optimizer_section(self):
         cfg = parse_run_config({"optimizer": {"dim": 4, "step_size": 2.0}})

@@ -106,6 +106,15 @@ class TestMasks:
         with pytest.raises(ValueError):
             Grid2D(np.zeros((3, 4, 5)))
 
+    def test_every_plane_reports_height_and_width(self):
+        planes = [
+            Grid2D(np.zeros((3, 4))),
+            EmbeddingField(np.zeros((3, 4, 2))),
+            LabelMap(np.zeros((3, 4), dtype=np.int64)),
+            BinaryMask(np.zeros((3, 4), dtype=np.uint8)),
+        ]
+        assert [(p.height, p.width) for p in planes] == [(3, 4)] * 4
+
 
 class TestValidatePair:
     def test_matching_ok(self):

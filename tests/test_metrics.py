@@ -28,6 +28,7 @@ from _oracles import (
     oracle_ap,
     oracle_box_iou,
     oracle_instance_map50,
+    oracle_recall,
 )
 
 
@@ -202,11 +203,22 @@ class TestDetectionApAgainstOracle:
                                  cls=int(rng.integers(0, 2)),
                                  score=float(rng.uniform(0.1, 1.0))))
             preds.append(DetectionSet(tuple(dets), image_id=image_id))
+        pred_pairs, gt_pairs = _sets_to_pairs(preds), _sets_to_pairs(gts)
         for cls in (0, 1):
             for thr in (0.5, 0.6, 0.75, 0.9):
                 got = detection_ap(preds, gts, cls, thr)
-                want = oracle_ap(_sets_to_pairs(preds), _sets_to_pairs(gts), cls, thr)
+                want = oracle_ap(pred_pairs, gt_pairs, cls, thr)
                 assert got == pytest.approx(want, abs=1e-12), (cls, thr)
+        for thr in (0.5, 0.75):
+            for score_thr in (0.0, 0.5, 0.8):
+                got = detection_recall(preds, gts, [0, 1], thr, score_thr)
+                want = oracle_recall(pred_pairs, gt_pairs, [0, 1], thr, score_thr)
+                assert got == pytest.approx(want, abs=1e-12), (thr, score_thr)
+        want_map = np.mean([
+            np.mean([oracle_ap(pred_pairs, gt_pairs, cls, thr) for thr in MAP_THRESHOLDS])
+            for cls in (0, 1)
+        ])
+        assert map_50_95(preds, gts, [0, 1]) == pytest.approx(want_map, abs=1e-12)
 
 
 class TestMap5095:
@@ -253,6 +265,7 @@ class TestDetectionRecall:
         pred = [DetectionSet((_det((0, 0, 4, 4), score=0.3),))]
         assert detection_recall(pred, gt, [0], 0.5, 0.5) == 0.0
         assert detection_recall(pred, gt, [0], 0.5, 0.25) == 1.0
+        assert detection_recall(pred, gt, [0], 0.5, 0.3) == 1.0  # the cutoff is inclusive
 
     def test_micro_average_over_classes(self):
         gt = [DetectionSet((_det((0, 0, 4, 4), cls=0, score=None),
@@ -310,6 +323,18 @@ class TestInstanceMap50:
         assert instance_map50_labels(empty, nonempty) == 0.0
         assert instance_map50_empty(0, 0)
         assert not instance_map50_empty(1, 0)
+
+    def test_equal_sizes_rank_the_lower_label_first(self):
+        gt = np.zeros((4, 8), dtype=np.int64)
+        gt[:, :4] = 1
+        miss_first = np.zeros((4, 8), dtype=np.int64)
+        miss_first[:, :4] = 2  # the match carries the higher label
+        miss_first[:, 4:] = 1  # a miss of the same size
+        hit_first = np.where(miss_first > 0, 3 - miss_first, 0)
+        # the miss ranks first, so precision at full recall is 1/2
+        assert instance_map50_labels(LabelMap(miss_first), LabelMap(gt)) == 0.5
+        assert instance_map50_labels(LabelMap(hit_first), LabelMap(gt)) == 1.0
+        assert oracle_instance_map50(miss_first, gt) == 0.5
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_loop_oracle(self, seed):
