@@ -35,11 +35,11 @@ from .losses import (
     cluster_means,
     discriminative_grad,
     discriminative_loss,
+    finite_diff_grad,
 )
 from .optimize import (
     OptimizationTrace,
     OptimizerConfig,
-    finite_diff_grad,
     normalize_field,
     optimize_embeddings,
 )
@@ -82,7 +82,7 @@ from .metrics import (
     seg_iou,
     seg_iou_undefined,
 )
-from .scenes import LAYOUTS, PerturbConfig, Scene, SceneConfig, gen_scene, perturb_detections
+from .scenes import LAYOUTS, Scene, SceneConfig, gen_scene
 from .config import (
     DEFAULT_EMBEDDING_DIM,
     MetricsConfig,
@@ -119,9 +119,9 @@ __all__ = [
     "cluster_means",
     "discriminative_grad",
     "discriminative_loss",
+    "finite_diff_grad",
     "OptimizationTrace",
     "OptimizerConfig",
-    "finite_diff_grad",
     "normalize_field",
     "optimize_embeddings",
     "ClusterResult",
@@ -158,11 +158,9 @@ __all__ = [
     "seg_iou",
     "seg_iou_undefined",
     "LAYOUTS",
-    "PerturbConfig",
     "Scene",
     "SceneConfig",
     "gen_scene",
-    "perturb_detections",
     "DEFAULT_EMBEDDING_DIM",
     "MetricsConfig",
     "RunConfig",

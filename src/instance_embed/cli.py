@@ -102,6 +102,12 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
 
 def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: Path) -> None:
     result, search = cluster_field(emb, mask, cfg.cluster)
+    if result.num_clusters > fileio.MAX_LABEL:
+        raise ConfigError(
+            f"found {result.num_clusters} clusters, but instances.pgm holds at most "
+            f"{fileio.MAX_LABEL} instance labels; raise cluster.merge_tolerance or "
+            "cluster.min_cluster_pixels"
+        )
     instances = result.assignment.values + 1
     fileio.write_labels(out / "instances.pgm", LabelMap(instances))
     # Each predicted box is scored by its basin's share of the foreground.

@@ -31,19 +31,18 @@ from .metrics import Detection, DetectionSet
 from .sampling import ReceptiveTrace
 
 _EMBF_MAGIC = b"EMBF"
+MAX_LABEL = 255  # largest ID a label or instance PGM can hold
 
 
-def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
-    """Write a 2D uint array as binary (P5) PGM."""
+def write_pgm(path, values: np.ndarray) -> None:
+    """Write a 2D uint array as binary (P5) PGM with maxval 255."""
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise FormatError(f"PGM needs a 2D array, got ndim {arr.ndim}")
-    if not 1 <= maxval <= 255:
-        raise FormatError(f"maxval must be 1..255, got {maxval}")
-    if arr.min() < 0 or arr.max() > maxval:
-        raise FormatError(f"values must lie in 0..{maxval} to fit one byte per pixel")
+    if arr.min() < 0 or arr.max() > 255:
+        raise FormatError("values must lie in 0..255 to fit one byte per pixel")
     h, w = arr.shape
-    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
+    header = f"P5\n{w} {h}\n255\n".encode("ascii")
     Path(path).write_bytes(header + arr.astype(np.uint8).tobytes())
 
 
@@ -94,8 +93,8 @@ def read_mask(path) -> BinaryMask:
 
 
 def write_labels(path, labels: LabelMap) -> None:
-    if labels.values.max(initial=0) > 255:
-        raise FormatError("label IDs above 255 do not fit 8-bit PGM")
+    if labels.values.max(initial=0) > MAX_LABEL:
+        raise FormatError(f"label IDs above {MAX_LABEL} do not fit 8-bit PGM")
     write_pgm(path, labels.values)
 
 

@@ -9,7 +9,8 @@ embeddings and its exact analytic gradient:
   total = alpha*l_var + beta*l_dist + gamma*l_reg.
 
 Both hinges are squared and averaged (per instance, then over instances for
-l_var; over ordered pairs for l_dist).
+l_var; over ordered pairs for l_dist). A central finite-difference gradient
+of the same loss cross-checks the analytic one.
 """
 from __future__ import annotations
 
@@ -147,42 +148,38 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
 
     Returns (breakdown, grad) with grad shaped (n, D) like pts. The gradient
     differentiates through the instance means. Hinge boundaries and the
-    regularizer at mu = 0 take the zero subgradient.
+    regularizer at mu = 0 take the zero subgradient. All of it but each
+    pixel's own pull term is one (C, D) per-instance table, gathered once.
     """
     ids, counts = plan.ids, plan.counts
     c = counts.size
     bd, (means, diff, dist, hinge, sep, h, norms) = _loss_terms(pts, plan, cfg)
 
-    # Pull term. For pixel k of instance c with d_i = mu_c - x_i,
-    # h_i = [|d_i| - delta_v]+ and unit directions dhat_i:
-    #   dL/dx_k = 2/(C*n_c) * (S_c/n_c - h_k*dhat_k),  S_c = sum_i h_i*dhat_i.
-    active = hinge > 0.0
-    dhat = np.zeros_like(diff)
-    dhat[active] = diff[active] / dist[active, None]
-    # An overflowed distance gives inf * 0 here, and then l_var is inf too.
+    # For pixel k of instance c (n_c pixels, C instances) with d_k = mu_c - x_k
+    # and hd_k = [|d_k| - delta_v]+ * d_k/|d_k| (zero where the hinge is off):
+    #   pull  dL/dx_k = a_c*(S_c/n_c - hd_k),  a_c = 2*alpha/(C*n_c),  S_c = sum_i hd_i
+    #   push  dL/dx_k = -4*beta/(C*(C-1)*n_c) * sum_{B != c} [2*delta_d - s_cB]+ * e_cB
+    #         with e_cB the unit vector from mu_B to mu_c
+    #   reg   dL/dx_k = gamma*mu_c/(C*n_c*|mu_c|), zero at mu_c = 0
+    # So grad_k = T_c - a_c*hd_k, where the table T_c holds a_c*S_c/n_c plus
+    # the push and regularizer terms.
+    a = 2.0 * cfg.alpha / (c * counts)
+    # An overflowed distance gives inf/inf here, and then l_var is inf too.
     with np.errstate(invalid="ignore"):
-        hd = hinge[:, None] * dhat
-    s_c = _segment_sum(plan, hd)
-    scale = 2.0 / (c * counts)
-    grad_pts = cfg.alpha * scale[ids, None] * (s_c[ids] / counts[ids, None] - hd)
-
-    # Push term. For pixel k of instance A:
-    #   dL/dx_k = -4/(C*(C-1)*n_A) * sum_{B != A} [2*delta_d - s_AB]+ * e_AB
-    # with e_AB the unit vector from mu_B to mu_A.
+        ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
+    hd = ratio[:, None] * diff
+    table = (a / counts)[:, None] * _segment_sum(plan, hd)
     if c > 1:
-        # unit difference directions e_AB, zero where the hinge is inactive
+        # push coefficients [2*delta_d - s_AB]+ / s_AB, zero where the hinge is off
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = np.where((h > 0.0) & (sep > 0.0), h / sep, 0.0)
         acc = coef.sum(axis=1)[:, None] * means - coef @ means
-        per_mean = -4.0 / (c * (c - 1) * counts)[:, None] * acc
-        grad_pts += cfg.beta * per_mean[ids]
-
-    # Regularizer. d|mu_c|/dx_k = mu_c/(n_c*|mu_c|); zero at mu_c = 0.
-    unit = np.zeros_like(means)
-    nz = norms > 0.0
-    unit[nz] = means[nz] / norms[nz, None]
-    grad_pts += cfg.gamma * (unit / (c * counts)[:, None])[ids]
-    return bd, grad_pts
+        table -= (4.0 * cfg.beta / (c * (c - 1) * counts))[:, None] * acc
+    reg = np.divide(cfg.gamma / (c * counts), norms, out=np.zeros_like(norms), where=norms > 0.0)
+    table += reg[:, None] * means
+    grad = table[ids]
+    grad -= a[ids, None] * hd
+    return bd, grad
 
 
 def cluster_means(emb: EmbeddingField, labels: LabelMap) -> np.ndarray:
@@ -214,3 +211,32 @@ def discriminative_grad(
     plan = _plan_labels(labels.values)
     grad = _value_and_grad(_gather(emb.values, plan), plan, cfg)[1]
     return _scatter(grad, plan, emb.values.shape)
+
+
+def finite_diff_grad(
+    emb: EmbeddingField,
+    labels: LabelMap,
+    cfg: DiscriminativeConfig,
+    step: float = 1e-5,
+) -> GradientField:
+    """Central finite-difference gradient of the total loss.
+
+    Perturbs every foreground coordinate by +-step; background entries stay
+    zero. This is the oracle the analytic gradient is validated against.
+    """
+    if step <= 0:
+        raise ValueError(f"step must be > 0, got {step}")
+    validate_pair(emb, labels)
+    plan = _plan_labels(labels.values)
+    pts = _gather(emb.values, plan)
+    out = np.zeros_like(pts)
+    for k in range(pts.shape[0]):
+        for d in range(pts.shape[1]):
+            saved = pts[k, d]
+            pts[k, d] = saved + step
+            hi = _loss_terms(pts, plan, cfg)[0].total
+            pts[k, d] = saved - step
+            lo = _loss_terms(pts, plan, cfg)[0].total
+            pts[k, d] = saved
+            out[k, d] = (hi - lo) / (2.0 * step)
+    return _scatter(out, plan, emb.values.shape)

@@ -3,8 +3,7 @@
 Stands in for training an embedding head at desk scale: initialize every
 pixel's embedding uniformly at random, then run fixed-step gradient descent
 on the discriminative loss against a ground-truth label map. Also provides
-the central finite-difference gradient used to cross-check the analytic one,
-and post-hoc normalization onto the unit sphere for clustering.
+post-hoc normalization onto the unit sphere for clustering.
 """
 from __future__ import annotations
 
@@ -15,8 +14,7 @@ import numpy as np
 
 from .core import BinaryMask, EmbeddingField, LabelMap, validate_pair
 from .errors import DegenerateVector, NonFiniteLoss
-from .losses import DiscriminativeConfig, GradientField, _loss_terms, _plan_labels, _value_and_grad
-from .losses import _gather, _scatter
+from .losses import DiscriminativeConfig, _gather, _plan_labels, _value_and_grad
 
 _INIT_SCALE = 1.0  # half-width of the uniform initial embeddings
 
@@ -57,35 +55,6 @@ class OptimizationTrace:
     breakdowns: tuple
     final: EmbeddingField
     steps_taken: int
-
-
-def finite_diff_grad(
-    emb: EmbeddingField,
-    labels: LabelMap,
-    cfg: DiscriminativeConfig,
-    step: float = 1e-5,
-) -> GradientField:
-    """Central finite-difference gradient of the total loss.
-
-    Perturbs every foreground coordinate by +-step; background entries stay
-    zero. This is the oracle the analytic gradient is validated against.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    validate_pair(emb, labels)
-    plan = _plan_labels(labels.values)
-    pts = _gather(emb.values, plan)
-    out = np.zeros_like(pts)
-    for k in range(pts.shape[0]):
-        for d in range(pts.shape[1]):
-            saved = pts[k, d]
-            pts[k, d] = saved + step
-            hi = _loss_terms(pts, plan, cfg)[0].total
-            pts[k, d] = saved - step
-            lo = _loss_terms(pts, plan, cfg)[0].total
-            pts[k, d] = saved
-            out[k, d] = (hi - lo) / (2.0 * step)
-    return _scatter(out, plan, emb.values.shape)
 
 
 def optimize_embeddings(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import BinaryMask, LabelMap
 from .errors import InfeasibleLayout
-from .metrics import Detection, DetectionSet, label_boxes
+from .metrics import DetectionSet, label_boxes
 
 LAYOUTS = ("parallel_stripes", "fork", "curved_bands")
 
@@ -173,64 +173,3 @@ def gen_scene(cfg: SceneConfig) -> Scene:
         lane_mask=BinaryMask(lanes),
         gt_boxes=label_boxes(labels),
     )
-
-
-@dataclass(frozen=True)
-class PerturbConfig:
-    """Noise model for turning ground-truth boxes into scored predictions."""
-
-    shift_px: int = 0
-    drop_prob: float = 0.0
-    spurious_count: int = 0
-    score_model: str = "separable"
-
-    def __post_init__(self):
-        if self.shift_px < 0:
-            raise ValueError(f"shift_px must be >= 0, got {self.shift_px}")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError(f"drop_prob must lie in [0, 1], got {self.drop_prob}")
-        if self.spurious_count < 0:
-            raise ValueError(f"spurious_count must be >= 0, got {self.spurious_count}")
-        if self.score_model != "separable":
-            raise ValueError(f"unknown score_model {self.score_model!r}")
-
-
-def perturb_detections(gt: DetectionSet, noise: PerturbConfig, seed: int) -> DetectionSet:
-    """Shift, drop, and pad ground-truth boxes into a scored prediction set.
-
-    Under the separable score model every surviving true box scores exactly
-    1.0 and every spurious box scores below 0.5, so correct boxes always rank
-    first. Deterministic for a fixed (gt, noise, seed).
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for det in gt.detections:
-        if rng.random() < noise.drop_prob:
-            continue
-        x1, y1, x2, y2 = det.box
-        if noise.shift_px > 0:
-            dx, dy = rng.integers(-noise.shift_px, noise.shift_px + 1, size=2)
-            x1, x2 = x1 + int(dx), x2 + int(dx)
-            y1, y2 = y1 + int(dy), y2 + int(dy)
-        out.append(Detection((x1, y1, x2, y2), det.class_id, score=1.0))
-
-    if noise.spurious_count > 0:
-        if gt.detections:
-            xs = [b for d in gt.detections for b in (d.box[0], d.box[2])]
-            ys = [b for d in gt.detections for b in (d.box[1], d.box[3])]
-            env = (min(xs), min(ys), max(xs), max(ys))
-            classes = sorted({d.class_id for d in gt.detections})
-        else:
-            env = (0.0, 0.0, 32.0, 32.0)
-            classes = [0]
-        span_x = max(env[2] - env[0], 4.0)
-        span_y = max(env[3] - env[1], 4.0)
-        for _ in range(noise.spurious_count):
-            bx = env[0] + rng.uniform(0.0, 0.75 * span_x)
-            by = env[1] + rng.uniform(0.0, 0.75 * span_y)
-            bw = rng.uniform(1.0, 0.25 * span_x)
-            bh = rng.uniform(1.0, 0.25 * span_y)
-            cls = classes[int(rng.integers(0, len(classes)))]
-            score = float(rng.uniform(0.05, 0.45))
-            out.append(Detection((bx, by, bx + bw, by + bh), cls, score=score))
-    return DetectionSet(tuple(out), image_id=gt.image_id)

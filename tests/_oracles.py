@@ -73,6 +73,53 @@ def oracle_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamma, dv, dd,
     return grad
 
 
+def oracle_grad_closed_form(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamma,
+                            dv, dd) -> np.ndarray:
+    """The loss gradient from its three closed-form terms, one pixel at a time.
+
+    For pixel k of instance a (n_a pixels, C instances), d_k = mu_a - x_k and
+    hd_k = [|d_k| - dv]+ * d_k/|d_k|:
+      pull  2*alpha/(C*n_a) * (sum_{i in a} hd_i / n_a - hd_k)
+      push  -4*beta/(C*(C-1)*n_a) * sum_{b != a} [2*dd - s_ab]+ * (mu_a - mu_b)/s_ab
+      reg   gamma * mu_a/(C*n_a*|mu_a|)
+    Inactive hinges, coincident means (s_ab = 0) and mu_a = 0 contribute zero.
+    """
+    ids = sorted(int(v) for v in np.unique(labels) if v != 0)
+    c = len(ids)
+    pixels = {i: [(y, x) for y in range(labels.shape[0]) for x in range(labels.shape[1])
+                  if labels[y, x] == i] for i in ids}
+    means = {i: sum(emb[y, x] for y, x in pixels[i]) / len(pixels[i]) for i in ids}
+
+    def hd(ident, y, x):
+        d = means[ident] - emb[y, x]
+        dist = math.sqrt(float(np.sum(d * d)))
+        if dist <= dv:
+            return np.zeros_like(d)
+        return (dist - dv) * d / dist
+
+    grad = np.zeros_like(emb, dtype=np.float64)
+    for a in ids:
+        n = len(pixels[a])
+        s_a = sum(hd(a, y, x) for y, x in pixels[a])
+        push = np.zeros(emb.shape[2])
+        for b in ids:
+            if b == a:
+                continue
+            e = means[a] - means[b]
+            sep = math.sqrt(float(np.sum(e * e)))
+            if 0.0 < sep < 2.0 * dd:
+                push += (2.0 * dd - sep) * e / sep
+        norm = math.sqrt(float(np.sum(means[a] * means[a])))
+        for y, x in pixels[a]:
+            g = 2.0 * alpha / (c * n) * (s_a / n - hd(a, y, x))
+            if c > 1:
+                g = g - 4.0 * beta / (c * (c - 1) * n) * push
+            if norm > 0.0:
+                g = g + gamma * means[a] / (c * n * norm)
+            grad[y, x] = g
+    return grad
+
+
 # ---------------------------------------------------------------------------
 # detection average precision
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Command-line behavior: files written, exit codes, reproducibility."""
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from instance_embed import fileio
+from instance_embed import Detection, DetectionSet, fileio
 from instance_embed.cli import main
 
 
@@ -184,6 +185,27 @@ class TestCluster:
                    "--mask", str(small), "--out", str(tmp_path / "clu")])
         assert rc == 2
 
+    def test_too_many_clusters_exit_2_before_writing(self, tmp_path, caplog):
+        from instance_embed import BinaryMask
+
+        # A narrow kernel and a tiny merge tolerance leave hundreds of modes
+        # on random directions, more than instances.pgm can label.
+        field = tmp_path / "field.embf"
+        fileio.write_embf(field, np.random.default_rng(0).standard_normal((24, 24, 3)))
+        mask = tmp_path / "mask.pgm"
+        fileio.write_mask(mask, BinaryMask(np.ones((24, 24), dtype=np.uint8)))
+        cfg = _write_config(tmp_path, {"cluster": {
+            "kappa": 200.0, "merge_tolerance": 0.001, "max_iters": 5, "min_cluster_pixels": 0,
+        }})
+        out = tmp_path / "clu"
+        rc = main(["cluster", "--embeddings", str(field), "--mask", str(mask),
+                   "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        found = re.search(r"found (\d+) clusters", caplog.text)
+        assert found and int(found.group(1)) > 255
+        assert "cluster.merge_tolerance" in caplog.text
+        assert list(out.iterdir()) == []
+
 
 class TestEval:
     def test_segmentation_pair(self, tmp_path):
@@ -202,9 +224,8 @@ class TestEval:
         main(["gen", "--out", str(scene), "--seed", "1"])
         # score the ground truth itself as a perfect prediction
         sets = fileio.read_boxes(scene / "boxes.json")
-        from instance_embed import PerturbConfig, perturb_detections
-
-        preds = [perturb_detections(sets[0], PerturbConfig(), seed=0)]
+        dets = tuple(Detection(d.box, d.class_id, score=1.0) for d in sets[0].detections)
+        preds = [DetectionSet(dets, image_id=sets[0].image_id)]
         fileio.write_boxes(tmp_path / "preds.json", preds)
         out = tmp_path / "ev"
         rc = main(["eval", "--pred-boxes", str(tmp_path / "preds.json"),

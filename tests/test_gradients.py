@@ -1,4 +1,4 @@
-"""Analytic loss gradient against loop-based central differences."""
+"""Analytic loss gradient against its closed form and loop-based central differences."""
 import numpy as np
 import pytest
 
@@ -11,7 +11,7 @@ from instance_embed import (
     finite_diff_grad,
 )
 
-from _oracles import oracle_grad
+from _oracles import oracle_grad, oracle_grad_closed_form
 
 
 def _case(seed, h=5, w=5, d=3, c=3, scale=2.0):
@@ -69,6 +69,56 @@ class TestAgainstFiniteDifferences:
             emb.values, labels.values, 0.3, 2.0, 0.05, cfg.delta_v, cfg.delta_d
         )
         assert _rel_err(got, want) < 1e-6
+
+
+def _closed_form(emb, labels, cfg):
+    return oracle_grad_closed_form(
+        emb.values, labels.values, cfg.alpha, cfg.beta, cfg.gamma, cfg.delta_v, cfg.delta_d
+    )
+
+
+class TestAgainstClosedForm:
+    """The kernel against a per-pixel loop over the three closed-form terms."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_cases(self, seed):
+        emb, labels = _case(seed)
+        cfg = DiscriminativeConfig()
+        got = discriminative_grad(emb, labels, cfg)
+        assert _rel_err(got, _closed_form(emb, labels, cfg)) <= self.TOL
+
+    def test_single_instance(self):
+        emb, labels = _case(3, c=1)
+        cfg = DiscriminativeConfig(gamma=0.1)
+        got = discriminative_grad(emb, labels, cfg)
+        assert _rel_err(got, _closed_form(emb, labels, cfg)) <= self.TOL
+
+    def test_every_pull_hinge_inactive(self):
+        emb, labels = _case(5)
+        cfg = DiscriminativeConfig(gamma=0.1, delta_v=100.0, delta_d=10.0)
+        got = discriminative_grad(emb, labels, cfg)
+        assert np.abs(got).max() > 0.0
+        assert _rel_err(got, _closed_form(emb, labels, cfg)) <= self.TOL
+
+    def test_instance_mean_at_origin(self):
+        # instance 1 is symmetric about the origin, so its mean is exactly 0
+        v = np.array([[[1.0, -2.0], [-1.0, 2.0], [3.0, 1.0], [2.5, 1.5]]])
+        labels = LabelMap(np.array([[1, 1, 2, 2]]))
+        emb = EmbeddingField(v)
+        cfg = DiscriminativeConfig(gamma=0.5)
+        got = discriminative_grad(emb, labels, cfg)
+        assert _rel_err(got, _closed_form(emb, labels, cfg)) <= self.TOL
+
+    def test_two_coincident_means(self):
+        # instances 1 and 2 both have mean exactly (2, 2); instance 3 is apart
+        v = np.array([[[1.0, 2.0], [3.0, 2.0], [0.0, 2.0], [4.0, 2.0], [2.5, 3.0], [2.0, 3.5]]])
+        labels = LabelMap(np.array([[1, 1, 2, 2, 3, 3]]))
+        emb = EmbeddingField(v)
+        cfg = DiscriminativeConfig(gamma=0.1)
+        got = discriminative_grad(emb, labels, cfg)
+        assert _rel_err(got, _closed_form(emb, labels, cfg)) <= self.TOL
 
 
 class TestPackagedFiniteDifferences:

@@ -5,10 +5,8 @@ import pytest
 from instance_embed import (
     InfeasibleLayout,
     LAYOUTS,
-    PerturbConfig,
     SceneConfig,
     gen_scene,
-    perturb_detections,
 )
 
 
@@ -193,60 +191,3 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ValueError):
             SceneConfig(seed=-1)
-
-
-class TestPerturb:
-    def _scene(self):
-        return gen_scene(SceneConfig(num_instances=3, seed=8))
-
-    def test_zero_noise_is_identity_with_scores(self):
-        gt = self._scene().gt_boxes
-        out = perturb_detections(gt, PerturbConfig(), seed=0)
-        assert len(out.detections) == 3
-        for got, want in zip(out.detections, gt.detections):
-            assert got.box == want.box
-            assert got.class_id == want.class_id
-            assert got.score == 1.0
-
-    def test_drop_all_leaves_spurious_only(self):
-        gt = self._scene().gt_boxes
-        out = perturb_detections(
-            gt, PerturbConfig(drop_prob=1.0, spurious_count=4), seed=1
-        )
-        assert len(out.detections) == 4
-        for det in out.detections:
-            assert det.score is not None
-            assert 0.05 <= det.score < 0.45
-
-    def test_true_boxes_outscore_spurious(self):
-        gt = self._scene().gt_boxes
-        out = perturb_detections(gt, PerturbConfig(spurious_count=5), seed=2)
-        true_scores = [d.score for d in out.detections[:3]]
-        fake_scores = [d.score for d in out.detections[3:]]
-        assert all(s == 1.0 for s in true_scores)
-        assert all(s < 0.5 for s in fake_scores)
-
-    def test_shift_bounded_and_size_preserved(self):
-        gt = self._scene().gt_boxes
-        out = perturb_detections(gt, PerturbConfig(shift_px=2), seed=3)
-        for got, want in zip(out.detections, gt.detections):
-            dx = got.box[0] - want.box[0]
-            dy = got.box[1] - want.box[1]
-            assert abs(dx) <= 2 and abs(dy) <= 2
-            assert got.box[2] - got.box[0] == pytest.approx(want.box[2] - want.box[0])
-            assert got.box[3] - got.box[1] == pytest.approx(want.box[3] - want.box[1])
-
-    def test_deterministic(self):
-        gt = self._scene().gt_boxes
-        noise = PerturbConfig(shift_px=3, drop_prob=0.5, spurious_count=2)
-        a = perturb_detections(gt, noise, seed=9)
-        b = perturb_detections(gt, noise, seed=9)
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PerturbConfig(shift_px=-1)
-        with pytest.raises(ValueError):
-            PerturbConfig(drop_prob=1.5)
-        with pytest.raises(ValueError):
-            PerturbConfig(score_model="uniform")
