@@ -19,6 +19,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -85,7 +86,9 @@ def _gen_stage(cfg: RunConfig, out: Path) -> Scene:
 
 
 def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
+    start = time.perf_counter()
     trace = optimize_embeddings(labels, cfg.embedding_dim, cfg.loss, cfg.optimizer)
+    seconds = time.perf_counter() - start
     fileio.write_embf(out / "embeddings.embf", trace.final.values)
     fileio.write_json(
         out / "trace.json",
@@ -97,11 +100,17 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
             ],
         },
     )
-    log.info("optimized %d steps, final total %s", trace.steps_taken, trace.breakdowns[-1].total)
+    step_ms = 1000.0 * seconds / trace.steps_taken if trace.steps_taken else 0.0
+    log.info(
+        "optimized %d steps in %.3f s (%.3f ms/step), final total %s",
+        trace.steps_taken, seconds, step_ms, trace.breakdowns[-1].total,
+    )
 
 
 def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: Path) -> None:
+    start = time.perf_counter()
     result, search = cluster_field(emb, mask, cfg.cluster)
+    seconds = time.perf_counter() - start
     if result.num_clusters > fileio.MAX_LABEL:
         raise ConfigError(
             f"found {result.num_clusters} clusters, but instances.pgm holds at most "
@@ -124,7 +133,7 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             "unconverged_seeds": search.unconverged_seeds,
         },
     )
-    log.info("found %d clusters", result.num_clusters)
+    log.info("found %d clusters in %.3f s", result.num_clusters, seconds)
 
 
 def _segmentation_report(pred: BinaryMask, gt: BinaryMask, _metrics_cfg) -> dict:

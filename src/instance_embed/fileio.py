@@ -76,12 +76,17 @@ def read_pgm(path) -> np.ndarray:
     w, h, maxval = fields
     if w < 1 or h < 1:
         raise FormatError(f"{path}: bad PGM dimensions {w}x{h}")
+    if maxval < 1:
+        raise FormatError(f"{path}: bad PGM maxval {maxval}")
     if maxval > 255:
         raise FormatError(f"{path}: 16-bit PGM not supported (maxval {maxval})")
     pixels = data[pos:]
     if len(pixels) != w * h:
         raise FormatError(f"{path}: expected {w * h} pixel bytes, found {len(pixels)}")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).copy()
+    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).copy()
+    if arr.max() > maxval:
+        raise FormatError(f"{path}: pixel value {arr.max()} exceeds PGM maxval {maxval}")
+    return arr
 
 
 def write_mask(path, mask: BinaryMask) -> None:

@@ -63,15 +63,27 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class _LabelPlan:
-    """Foreground layout of a label map; fixed while its embeddings move."""
+    """Foreground layout of a label map; fixed while its embeddings move.
 
-    fg: np.ndarray  # (n,) raveled pixel index of each foreground pixel
-    ids: np.ndarray  # (n,) 0-based instance index of each foreground pixel
+    Rows are ordered by instance, and by raster order within an instance, so
+    instance c owns the contiguous rows spans[c]. A per-instance sum over
+    these rows adds them in raster order, exactly as a sum over the raster
+    scan of the foreground would, so it is bit-equal to that sum.
+    """
+
+    fg: np.ndarray  # (n,) raveled pixel index of each row
+    ids: np.ndarray  # (n,) 0-based instance index of each row, ascending
     counts: np.ndarray  # (C,) pixels per instance, as float64
+    spans: tuple  # (C,) (start, stop) row range of each instance
+    keys: np.ndarray  # (n*D,) ids*D + column: the bin of each entry of an (n, D) matrix
 
 
-def _plan_labels(label_values: np.ndarray) -> _LabelPlan:
+def _plan_labels(label_values: np.ndarray, d: int) -> _LabelPlan:
     """Index the foreground of a label map once for any number of loss calls.
+
+    d is the embedding dimension of the rows the plan will sum. The rows are
+    a stable argsort of the raveled labels with the background dropped from
+    its head: sorted by instance, raster order within each instance.
 
     Raises EmptyInstance when there is no foreground or some ID in 1..C has
     no pixels.
@@ -80,21 +92,29 @@ def _plan_labels(label_values: np.ndarray) -> _LabelPlan:
     c = int(labels_flat.max(initial=0))
     if c == 0:
         raise EmptyInstance("label map has no foreground instances")
-    fg = np.flatnonzero(labels_flat)
-    ids = labels_flat[fg] - 1
-    counts = np.bincount(ids, minlength=c)
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0]) + 1
+    counts = np.bincount(labels_flat, minlength=c + 1)
+    sizes = counts[1:]
+    if (sizes == 0).any():
+        missing = int(np.flatnonzero(sizes == 0)[0]) + 1
         raise EmptyInstance(f"instance ID {missing} owns zero pixels")
-    return _LabelPlan(fg, ids, counts.astype(np.float64))
+    # On labels of at most 16 bits numpy runs the stable sort as a radix sort.
+    fg = np.argsort(labels_flat.astype(np.min_scalar_type(c)), kind="stable")[counts[0]:]
+    ids = np.repeat(np.arange(c), sizes)
+    keys = np.repeat(np.arange(c * d).reshape(c, d), sizes, axis=0).ravel()
+    stops = np.cumsum(sizes)
+    spans = tuple(zip((stops - sizes).tolist(), stops.tolist()))
+    return _LabelPlan(fg, ids, sizes.astype(np.float64), spans, keys)
 
 
 def _segment_sum(plan: _LabelPlan, rows: np.ndarray) -> np.ndarray:
-    """Per-instance sums of the rows of an (n, D) matrix, shaped (C, D)."""
-    c = plan.counts.size
-    return np.stack(
-        [np.bincount(plan.ids, weights=col, minlength=c) for col in rows.T], axis=1
-    )
+    """Per-instance sums of the rows of an (n, D) matrix, shaped (C, D).
+
+    One bincount over the plan's keys. Each bin adds its entries in plan
+    order, which is raster order within the instance, so every sum is
+    bit-equal to a sequential raster-order sum.
+    """
+    c, d = plan.counts.size, rows.shape[1]
+    return np.bincount(plan.keys, weights=rows.ravel(), minlength=c * d).reshape(c, d)
 
 
 def _gather(values: np.ndarray, plan: _LabelPlan) -> np.ndarray:
@@ -120,7 +140,9 @@ def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
     c = counts.size
     means = _segment_sum(plan, pts) / counts[:, None]
 
-    diff = means[ids] - pts
+    diff = np.empty_like(pts)
+    for k, (start, stop) in enumerate(plan.spans):
+        np.subtract(means[k], pts[start:stop], out=diff[start:stop])
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     hinge = np.maximum(dist - cfg.delta_v, 0.0)
     l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
@@ -149,9 +171,10 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     Returns (breakdown, grad) with grad shaped (n, D) like pts. The gradient
     differentiates through the instance means. Hinge boundaries and the
     regularizer at mu = 0 take the zero subgradient. All of it but each
-    pixel's own pull term is one (C, D) per-instance table, gathered once.
+    pixel's own pull term is one (C, D) per-instance table, added to each
+    instance's rows in place.
     """
-    ids, counts = plan.ids, plan.counts
+    counts = plan.counts
     c = counts.size
     bd, (means, diff, dist, hinge, sep, h, norms) = _loss_terms(pts, plan, cfg)
 
@@ -167,7 +190,7 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     # An overflowed distance gives inf/inf here, and then l_var is inf too.
     with np.errstate(invalid="ignore"):
         ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
-    hd = ratio[:, None] * diff
+    hd = np.multiply(diff, ratio[:, None], out=diff)
     table = (a / counts)[:, None] * _segment_sum(plan, hd)
     if c > 1:
         # push coefficients [2*delta_d - s_AB]+ / s_AB, zero where the hinge is off
@@ -177,15 +200,18 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
         table -= (4.0 * cfg.beta / (c * (c - 1) * counts))[:, None] * acc
     reg = np.divide(cfg.gamma / (c * counts), norms, out=np.zeros_like(norms), where=norms > 0.0)
     table += reg[:, None] * means
-    grad = table[ids]
-    grad -= a[ids, None] * hd
-    return bd, grad
+    # hd becomes the gradient, one instance's rows at a time.
+    for k, (start, stop) in enumerate(plan.spans):
+        rows = hd[start:stop]
+        rows *= -a[k]
+        rows += table[k]
+    return bd, hd
 
 
 def cluster_means(emb: EmbeddingField, labels: LabelMap) -> np.ndarray:
     """Arithmetic mean embedding of each instance, shaped (C, D)."""
     validate_pair(emb, labels)
-    plan = _plan_labels(labels.values)
+    plan = _plan_labels(labels.values, emb.dim)
     return _segment_sum(plan, _gather(emb.values, plan)) / plan.counts[:, None]
 
 
@@ -194,7 +220,7 @@ def discriminative_loss(
 ) -> LossBreakdown:
     """Evaluate all three terms of the discriminative loss."""
     validate_pair(emb, labels)
-    plan = _plan_labels(labels.values)
+    plan = _plan_labels(labels.values, emb.dim)
     return _loss_terms(_gather(emb.values, plan), plan, cfg)[0]
 
 
@@ -208,7 +234,7 @@ def discriminative_grad(
     exactly zero.
     """
     validate_pair(emb, labels)
-    plan = _plan_labels(labels.values)
+    plan = _plan_labels(labels.values, emb.dim)
     grad = _value_and_grad(_gather(emb.values, plan), plan, cfg)[1]
     return _scatter(grad, plan, emb.values.shape)
 
@@ -227,7 +253,7 @@ def finite_diff_grad(
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     validate_pair(emb, labels)
-    plan = _plan_labels(labels.values)
+    plan = _plan_labels(labels.values, emb.dim)
     pts = _gather(emb.values, plan)
     out = np.zeros_like(pts)
     for k in range(pts.shape[0]):

@@ -74,7 +74,7 @@ def optimize_embeddings(
     """
     if d < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {d}")
-    plan = _plan_labels(labels.values)
+    plan = _plan_labels(labels.values, d)
     rng = np.random.default_rng(opt_cfg.seed)
     shape = (labels.height, labels.width, d)
     field = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
@@ -86,7 +86,8 @@ def optimize_embeddings(
     breakdowns = [bd]
     steps = 0
     while bd.total > opt_cfg.loss_tolerance and steps < opt_cfg.max_steps:
-        pts -= opt_cfg.step_size * grad
+        grad *= opt_cfg.step_size
+        pts -= grad
         steps += 1
         if not np.all(np.isfinite(pts)):
             raise NonFiniteLoss(f"embeddings diverged after {steps} steps; reduce step_size")

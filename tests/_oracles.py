@@ -120,6 +120,62 @@ def oracle_grad_closed_form(emb: np.ndarray, labels: np.ndarray, alpha, beta, ga
     return grad
 
 
+def oracle_value_and_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamma, dv, dd):
+    """((l_var, l_dist, l_reg, total), gradient) from the raster-order kernel.
+
+    The foreground rows in raster order, one bincount per embedding dimension
+    for every per-instance sum, and the instance means and the per-instance
+    gradient table gathered to every pixel. This is the package kernel's
+    arithmetic, operation for operation, with the rows in raster order, so
+    the package must match it bit for bit.
+    """
+    h, w, d = emb.shape
+    flat = labels.ravel()
+    fg = np.flatnonzero(flat)
+    ids = flat[fg] - 1
+    c = int(flat.max())
+    counts = np.bincount(ids, minlength=c).astype(np.float64)
+    pts = emb.reshape(-1, d)[fg]
+
+    def segment_sum(rows):
+        return np.stack([np.bincount(ids, weights=col, minlength=c) for col in rows.T], axis=1)
+
+    means = segment_sum(pts) / counts[:, None]
+    diff = means[ids] - pts
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hinge = np.maximum(dist - dv, 0.0)
+    l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
+    l_dist = 0.0
+    if c > 1:
+        gram = means @ means.T
+        sq = np.diag(gram)
+        sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
+        push = np.maximum(2.0 * dd - sep, 0.0)
+        np.fill_diagonal(push, 0.0)
+        l_dist = float((push * push).sum() / (c * (c - 1)))
+    norms = np.sqrt(np.einsum("ij,ij->i", means, means))
+    l_reg = float(norms.mean())
+    total = float(alpha * l_var + beta * l_dist + gamma * l_reg)
+
+    a = 2.0 * alpha / (c * counts)
+    with np.errstate(invalid="ignore"):
+        ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
+    hd = ratio[:, None] * diff
+    table = (a / counts)[:, None] * segment_sum(hd)
+    if c > 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.where((push > 0.0) & (sep > 0.0), push / sep, 0.0)
+        acc = coef.sum(axis=1)[:, None] * means - coef @ means
+        table -= (4.0 * beta / (c * (c - 1) * counts))[:, None] * acc
+    reg = np.divide(gamma / (c * counts), norms, out=np.zeros_like(norms), where=norms > 0.0)
+    table += reg[:, None] * means
+    rows = table[ids]
+    rows -= a[ids, None] * hd
+    grad = np.zeros((h * w, d))
+    grad[fg] = rows
+    return (l_var, l_dist, l_reg, total), grad.reshape(h, w, d)
+
+
 # ---------------------------------------------------------------------------
 # detection average precision
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: files written, exit codes, reproducibility."""
 import json
+import os
 import re
 import subprocess
 import sys
@@ -119,6 +120,12 @@ class TestOptimize:
         fileio.write_labels(p, LabelMap(np.zeros((8, 8), dtype=np.int64)))
         rc = main(["optimize", "--labels", str(p), "--out", str(tmp_path / "opt")])
         assert rc == 5
+
+    def test_label_above_maxval_exits_2(self, tmp_path):
+        p = tmp_path / "over.pgm"
+        p.write_bytes(b"P5\n2 2\n1\n" + bytes([0, 5, 1, 1]))
+        rc = main(["optimize", "--labels", str(p), "--out", str(tmp_path / "opt")])
+        assert rc == 2
 
     def test_missing_labels_file_exits_3(self, tmp_path):
         rc = main(["optimize", "--labels", str(tmp_path / "absent.pgm"),
@@ -341,6 +348,24 @@ class TestPipeline:
         assert main(["pipeline", "--config", cfg, "--out", str(b)]) == 0
         names = [p.name for p in a.iterdir()]
         assert _dir_bytes(a, names) == _dir_bytes(b, names)
+
+    def test_info_log_timings_leave_outputs_unchanged(self, tmp_path):
+        cfg = self._config(tmp_path)
+        runs = {}
+        for level in ("error", "info"):
+            out = tmp_path / level
+            runs[level] = subprocess.run(
+                [sys.executable, "-m", "instance_embed.cli", "pipeline",
+                 "--config", cfg, "--out", str(out)],
+                capture_output=True, text=True, env={**os.environ, "INSTANCE_EMBED_LOG": level},
+            )
+            assert runs[level].returncode == 0, runs[level].stderr
+        names = sorted(p.name for p in (tmp_path / "error").iterdir())
+        assert sorted(p.name for p in (tmp_path / "info").iterdir()) == names
+        assert _dir_bytes(tmp_path / "error", names) == _dir_bytes(tmp_path / "info", names)
+        assert runs["error"].stderr == ""
+        assert re.search(r"optimized \d+ steps in [\d.]+ s \([\d.]+ ms/step\)", runs["info"].stderr)
+        assert re.search(r"found \d+ clusters in [\d.]+ s", runs["info"].stderr)
 
     def test_staged_commands_write_the_same_bytes(self, tmp_path):
         # The second config dissolves every mode (more pixels per cluster than

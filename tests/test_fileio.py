@@ -56,6 +56,19 @@ class TestPgm:
         with pytest.raises(FormatError):
             fileio.read_pgm(p)
 
+    def test_zero_maxval_raises(self, tmp_path):
+        p = tmp_path / "zero.pgm"
+        p.write_bytes(b"P5\n2 2\n0\n" + bytes(4))
+        with pytest.raises(FormatError, match="zero.pgm.*maxval 0"):
+            fileio.read_pgm(p)
+
+    def test_pixel_above_maxval_raises(self, tmp_path):
+        # Read as raw bytes this would be instance 5 in a file whose maxval is 1.
+        p = tmp_path / "over.pgm"
+        p.write_bytes(b"P5\n2 2\n1\n" + bytes([0, 5, 1, 1]))
+        with pytest.raises(FormatError, match="over.pgm.*5.*maxval 1"):
+            fileio.read_labels(p)
+
 
 class TestEmbf:
     def test_round_trip_values(self, tmp_path):

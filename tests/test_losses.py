@@ -1,4 +1,4 @@
-"""Pull/push/regularize loss against a loop-based reference."""
+"""Pull/push/regularize loss against loop-based and raster-order references."""
 import numpy as np
 import pytest
 
@@ -8,10 +8,12 @@ from instance_embed import (
     EmptyInstance,
     LabelMap,
     cluster_means,
+    discriminative_grad,
     discriminative_loss,
 )
+from instance_embed.losses import _gather, _plan_labels, _segment_sum
 
-from _oracles import oracle_loss
+from _oracles import oracle_loss, oracle_value_and_grad
 
 
 def _random_case(seed, h=6, w=7, d=3, c=3):
@@ -146,3 +148,71 @@ class TestStructure:
                 means[ident - 1], emb.values[sel].mean(axis=0), rtol=1e-12
             )
 
+
+def _layout(kind, rng, c, h=9, w=11):
+    """A label map with IDs 1..c all present: random, interleaved or blocky."""
+    if kind == "random":
+        flat = rng.integers(0, c + 1, size=h * w)
+    elif kind == "interleaved":
+        flat = np.arange(h * w) % (c + 1)
+    else:
+        blocks = rng.integers(0, c + 1, size=(-(-h // 3), -(-w // 4)))
+        flat = np.kron(blocks, np.ones((3, 4), dtype=np.int64))[:h, :w].ravel()
+    flat[rng.choice(h * w, size=c, replace=False)] = np.arange(1, c + 1)
+    return flat.reshape(h, w)
+
+
+_KINDS = ("random", "interleaved", "blocky")
+
+
+class TestBitEqualToRasterKernel:
+    """216 cases: 3 layouts x D in {1, 2, 3, 8} x C in 1..6 x 3 configs."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_terms_and_gradient(self, kind, d):
+        rng = np.random.default_rng([_KINDS.index(kind), d])
+        cfgs = (
+            DiscriminativeConfig(),
+            DiscriminativeConfig(delta_v=0.0, delta_d=2.0),
+            DiscriminativeConfig(alpha=0.7, beta=1.3, gamma=0.0, delta_v=0.3),
+        )
+        for c in range(1, 7):
+            labels = _layout(kind, rng, c)
+            emb = rng.standard_normal(labels.shape + (d,))
+            for cfg in cfgs:
+                args = (cfg.alpha, cfg.beta, cfg.gamma, cfg.delta_v, cfg.delta_d)
+                want_terms, want_grad = oracle_value_and_grad(emb, labels, *args)
+                field, lab = EmbeddingField(emb), LabelMap(labels)
+                bd = discriminative_loss(field, lab, cfg)
+                assert (bd.l_var, bd.l_dist, bd.l_reg, bd.total) == want_terms
+                assert np.array_equal(discriminative_grad(field, lab, cfg), want_grad)
+
+
+class TestLabelPlan:
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_rows_grouped_by_instance_in_raster_order(self, kind):
+        rng = np.random.default_rng(_KINDS.index(kind))
+        for c in range(1, 7):
+            labels = _layout(kind, rng, c)
+            plan = _plan_labels(labels, 3)
+            flat = labels.ravel()
+            stops = [stop for _, stop in plan.spans]
+            assert [start for start, _ in plan.spans] == [0] + stops[:-1]
+            assert stops[-1] == plan.fg.size == np.count_nonzero(flat)
+            for k, (start, stop) in enumerate(plan.spans):
+                np.testing.assert_array_equal(plan.fg[start:stop], np.flatnonzero(flat == k + 1))
+                assert (plan.ids[start:stop] == k).all()
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_segment_sum_adds_each_instance_in_row_order(self, kind):
+        rng = np.random.default_rng(10 + _KINDS.index(kind))
+        for c in range(1, 7):
+            labels = _layout(kind, rng, c)
+            plan = _plan_labels(labels, 3)
+            rows = _gather(rng.standard_normal(labels.shape + (3,)), plan)
+            want = np.zeros((c, 3))
+            for k, (start, stop) in enumerate(plan.spans):
+                for r in range(start, stop):
+                    want[k] += rows[r]
+            assert np.array_equal(_segment_sum(plan, rows), want)
