@@ -133,7 +133,11 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             "unconverged_seeds": search.unconverged_seeds,
         },
     )
-    log.info("found %d clusters in %.3f s", result.num_clusters, seconds)
+    log.info(
+        "found %d clusters in %.3f s (%d passes, %d row updates, %.2f us/row update)",
+        result.num_clusters, seconds, search.passes, search.row_updates,
+        1e6 * seconds / search.row_updates,
+    )
 
 
 def _segmentation_report(pred: BinaryMask, gt: BinaryMask, _metrics_cfg) -> dict:

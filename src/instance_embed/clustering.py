@@ -9,7 +9,11 @@ recovered modes is purely a property of the data and the kernel width.
 All seeds are shifted together, one pass at a time. Between passes, seeds
 still moving within merge_tolerance / 10 of each other are folded into one
 row that carries their count, and only the kept rows are shifted further;
-every reported counter is in original seeds.
+every reported counter is in original seeds. Each block of rows is updated
+with two matrix products against [x | 1] and one exp: the weights are
+exp(kappa * (<x, y> - 1)), at most 1 for unit rows, and the product's last
+column is their total; the rare row whose total is not finite or vanishes
+is recomputed with its own largest dot subtracted.
 
 The merge is single linkage over the seed endpoints. It is found by a
 breadth-first search that expands a whole frontier at once, in blocks of
@@ -33,6 +37,9 @@ _SEED_BLOCK = 64
 # Between passes, still-moving seeds closer than this share of
 # merge_tolerance are folded into one row.
 _FOLD_FRACTION = 0.1
+# A row of _shift_rows whose total weight falls below this is recomputed
+# with its row max subtracted.
+_TOTAL_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,8 @@ class ModeSearch:
     basin_seeds: np.ndarray  # (M,) seeds merged into each mode, folded and unconverged included
     dropped_seeds: int
     unconverged_seeds: int  # seeds still moving after max_iters; merged as usual
+    passes: int  # passes over the still-moving rows
+    row_updates: int  # single-row kernel updates over all passes
 
     def __post_init__(self):
         object.__setattr__(self, "modes", _freeze(self.modes, np.float64))
@@ -134,25 +143,52 @@ def flatten_foreground(emb: EmbeddingField, mask: BinaryMask):
     return x, FlatIndex(np.flatnonzero(sel), emb.height, emb.width)
 
 
-def _shift_rows(cur: np.ndarray, x_points: np.ndarray, kappa: float):
+def _augment(x_points: np.ndarray) -> np.ndarray:
+    """The (n, D+1) operand [x | 1] that _shift_rows multiplies against."""
+    a = np.empty((x_points.shape[0], x_points.shape[1] + 1))
+    a[:, :-1] = x_points
+    a[:, -1] = 1.0
+    return a
+
+
+def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
     """One kernel-weighted mean-direction update of each row of cur.
+
+    a is _augment(x_points). Each row y is scaled to [kappa*y, -kappa], so
+    one matrix product gives the exponents kappa*(<x_j, y> - 1) and
+    w = exp(...) needs no row max: for unit rows every weight is at most 1
+    and cannot overflow. The second product w @ a returns the weighted sum
+    and, in its last column, the total weight. A row whose total is not
+    finite or below _TOTAL_FLOOR (kappa*(1 - max dot) above about 230, or
+    rows that are not unit vectors) is computed again on its own with its
+    largest dot subtracted inside the exponential, which rescales sum and
+    total alike; the floor also keeps the squared norm of a sum that is not
+    degenerate clear of float64 underflow.
 
     Returns (new, bad): the renormalized weighted means, and the rows whose
     weighted sum has near-zero norm relative to the total weight (exactly
     antipodal mass cancels). Bad rows of new are the unnormalized sums. The
-    largest dot product of each row is subtracted inside the exponential,
-    which rescales numerator and denominator identically and avoids overflow
-    at large kappa. The weights overwrite the dot products in place: fresh
-    rows x n buffers on every step cost page faults whenever the allocator
-    has returned the last ones to the system.
+    weights overwrite the exponents in place: fresh rows x n buffers on
+    every step cost page faults whenever the allocator has returned the last
+    ones to the system.
     """
-    w = cur @ x_points.T
-    w -= w.max(axis=1, keepdims=True)
-    w *= kappa
-    np.exp(w, out=w)
-    s = w @ x_points
+    d = cur.shape[1]
+    q = np.empty((cur.shape[0], d + 1))
+    np.multiply(cur, kappa, out=q[:, :d])
+    q[:, d] = -kappa
+    w = q @ a.T
+    with np.errstate(over="ignore", invalid="ignore"):  # inf weights: recomputed below
+        np.exp(w, out=w)
+        s = w @ a
+    for r in np.flatnonzero(~(np.isfinite(s[:, d]) & (s[:, d] >= _TOTAL_FLOOR))):
+        wr = a[:, :d] @ cur[r]
+        wr -= wr.max()
+        wr *= kappa
+        np.exp(wr, out=wr)
+        s[r] = wr @ a
+    s, total = s[:, :d], s[:, d]
     norms = np.sqrt(np.einsum("ij,ij->i", s, s))
-    bad = norms < 1e-12 * w.sum(axis=1)
+    bad = norms < 1e-12 * total
     safe = np.where(bad, 1.0, norms)
     return s / safe[:, None], bad
 
@@ -165,7 +201,7 @@ def vmf_shift_step(x_points: np.ndarray, x: np.ndarray, kappa: float) -> np.ndar
     DegenerateShift when the weighted sum has near-zero norm relative to the
     total weight (exactly antipodal mass cancels).
     """
-    new, bad = _shift_rows(x[None, :], x_points, kappa)
+    new, bad = _shift_rows(x[None, :], _augment(x_points), kappa)
     if bad[0]:
         raise DegenerateShift("weighted mean direction has near-zero norm")
     return new[0]
@@ -247,23 +283,29 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     linkage: rows within merge_tolerance angular distance share a mode,
     transitively. Each mode is the renormalized seed-weighted mean of its
     rows, and modes are sorted by descending basin seed count (ties: the
-    earliest contributing seed first). Every counter is in original seeds.
+    earliest contributing seed first). Every seed counter is in original
+    seeds; passes and row_updates count the passes and the _shift_rows row
+    updates, folded rows once each.
     """
     if x_points.ndim != 2 or x_points.shape[0] == 0:
         raise ValueError("point matrix must be non-empty (n, D)")
     pts = x_points[:: cfg.seed_stride].copy()
+    a = _augment(x_points)
     weight = np.ones(pts.shape[0], dtype=np.int64)  # original seeds per row
     dropped = np.zeros(pts.shape[0], dtype=bool)
     moving = np.arange(pts.shape[0])
     cos_fold = math.cos(_FOLD_FRACTION * cfg.merge_tolerance)
+    passes = row_updates = 0
     for it in range(cfg.max_iters):
         if it:
             moving = _fold_rows(pts, moving, weight, cos_fold)
+        passes += 1
+        row_updates += moving.size
         still = np.zeros(moving.size, dtype=bool)
         for i in range(0, moving.size, _SEED_BLOCK):
             blk = moving[i : i + _SEED_BLOCK]
             cur = pts[blk]
-            new, bad = _shift_rows(cur, x_points, cfg.kappa)
+            new, bad = _shift_rows(cur, a, cfg.kappa)
             moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
             pts[blk[~bad]] = new[~bad]
             dropped[blk[bad]] = True
@@ -296,12 +338,13 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
             first_seed.append(int(alive[members[0]]))
     if not modes:
         return ModeSearch(
-            np.zeros((0, x_points.shape[1])), np.zeros(0, dtype=np.int64), n_dropped, n_unconverged
+            np.zeros((0, x_points.shape[1])), np.zeros(0, dtype=np.int64), n_dropped,
+            n_unconverged, passes, row_updates,
         )
     order = sorted(range(len(modes)), key=lambda i: (-counts[i], first_seed[i]))
     modes_arr = np.stack([modes[i] for i in order])
     counts_arr = np.array([counts[i] for i in order], dtype=np.int64)
-    return ModeSearch(modes_arr, counts_arr, n_dropped, n_unconverged)
+    return ModeSearch(modes_arr, counts_arr, n_dropped, n_unconverged, passes, row_updates)
 
 
 def assign_to_modes(

@@ -349,23 +349,49 @@ class TestPipeline:
         names = [p.name for p in a.iterdir()]
         assert _dir_bytes(a, names) == _dir_bytes(b, names)
 
+    @staticmethod
+    def _run_in_subprocess(cfg, out, **env):
+        run = subprocess.run(
+            [sys.executable, "-m", "instance_embed.cli", "pipeline",
+             "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, **env},
+        )
+        assert run.returncode == 0, run.stderr
+        return run
+
     def test_info_log_timings_leave_outputs_unchanged(self, tmp_path):
         cfg = self._config(tmp_path)
-        runs = {}
-        for level in ("error", "info"):
-            out = tmp_path / level
-            runs[level] = subprocess.run(
-                [sys.executable, "-m", "instance_embed.cli", "pipeline",
-                 "--config", cfg, "--out", str(out)],
-                capture_output=True, text=True, env={**os.environ, "INSTANCE_EMBED_LOG": level},
-            )
-            assert runs[level].returncode == 0, runs[level].stderr
+        runs = {
+            level: self._run_in_subprocess(cfg, tmp_path / level, INSTANCE_EMBED_LOG=level)
+            for level in ("error", "info")
+        }
         names = sorted(p.name for p in (tmp_path / "error").iterdir())
         assert sorted(p.name for p in (tmp_path / "info").iterdir()) == names
         assert _dir_bytes(tmp_path / "error", names) == _dir_bytes(tmp_path / "info", names)
         assert runs["error"].stderr == ""
         assert re.search(r"optimized \d+ steps in [\d.]+ s \([\d.]+ ms/step\)", runs["info"].stderr)
-        assert re.search(r"found \d+ clusters in [\d.]+ s", runs["info"].stderr)
+        found = re.search(
+            r"found \d+ clusters in [\d.]+ s \((\d+) passes, (\d+) row updates, "
+            r"[\d.]+ us/row update\)",
+            runs["info"].stderr,
+        )
+        assert found
+        passes, row_updates = int(found[1]), int(found[2])
+        assert 1 <= passes <= 100 and row_updates >= passes
+
+    def test_out_tree_independent_of_blas_threads(self, tmp_path):
+        # Stride 1 iterates every foreground point, so each mean-shift block
+        # is a full 64-row product against the whole point matrix.
+        cfg = _write_config(tmp_path, {
+            "scene": {"num_instances": 3, "seed": 6},
+            "optimizer": {"max_steps": 150, "step_size": 40.0, "seed": 6},
+            "cluster": {"merge_tolerance": 1.6, "seed_stride": 1},
+        })
+        for threads in ("1", "2"):
+            self._run_in_subprocess(cfg, tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(names) == 11
+        assert _dir_bytes(tmp_path / "1", names) == _dir_bytes(tmp_path / "2", names)
 
     def test_staged_commands_write_the_same_bytes(self, tmp_path):
         # The second config dissolves every mode (more pixels per cluster than

@@ -1,6 +1,7 @@
 """Spherical mean-shift clustering: fixed points, merging, assignment."""
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from instance_embed import (
 
 from instance_embed import fileio
 from instance_embed.cli import main
-from instance_embed.clustering import _fold_rows, _single_linkage
+from instance_embed.clustering import (
+    _TOTAL_FLOOR,
+    _augment,
+    _fold_rows,
+    _shift_rows,
+    _single_linkage,
+)
 
 from _oracles import oracle_kde, oracle_mean_shift, oracle_single_linkage, oracle_vmf_step
 
@@ -96,6 +103,93 @@ class TestShiftStep:
             densities.append(oracle_kde(x_points, x, 10.0))
         diffs = np.diff(densities)
         assert np.all(diffs >= -1e-12)
+
+
+def _far_seed(x_points, axis, angle):
+    """Unit vector at `angle` from `axis` in the plane of axis and e_last."""
+    v = np.cos(angle) * axis + np.sin(angle) * np.eye(x_points.shape[1])[-1]
+    return _unit(v)
+
+
+def _falls_back(cur, x_points, kappa):
+    """Rows whose plain exp(kappa * (dot - 1)) total is not finite or under the floor."""
+    with np.errstate(over="ignore"):
+        total = np.exp(kappa * (cur @ x_points.T - 1.0)).sum(axis=1)
+    return ~(np.isfinite(total) & (total >= _TOTAL_FLOOR))
+
+
+class TestShiftKernel:
+    """_shift_rows against the max-subtracting loop oracle, fallback rows included."""
+
+    def test_far_seed_at_large_kappa_matches_oracle(self):
+        # every weight exp(5000 * (cos - 1)) underflows at >= 0.5 rad
+        rng = np.random.default_rng(21)
+        axis = _unit([1.0, 0.0, 0.0])
+        x_points = _bundle(rng, axis, 30, 0.05, 3)
+        x = _far_seed(x_points, axis, 1.0)
+        assert np.arccos(np.clip(x_points @ x, -1, 1)).min() >= 0.5
+        assert _falls_back(x[None, :], x_points, 5000.0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vmf_shift_step(x_points, x, kappa=5000.0)
+        np.testing.assert_allclose(got, oracle_vmf_step(x_points, x, 5000.0), atol=1e-12)
+
+    def test_points_of_norm_three_match_oracle(self):
+        # exp(1000 * (3 * cos - 1)) overflows: the total is inf
+        rng = np.random.default_rng(22)
+        x_points = 3.0 * _bundle(rng, _unit([0.0, 1.0, 1.0]), 25, 0.1, 3)
+        x = _unit([0.1, 1.0, 0.9])
+        assert _falls_back(x[None, :], x_points, 1000.0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vmf_shift_step(x_points, x, kappa=1000.0)
+        np.testing.assert_allclose(got, oracle_vmf_step(x_points, x, 1000.0), atol=1e-12)
+
+    @pytest.mark.parametrize("angle", [0.05, 0.2, 0.3, 0.4, 0.45, 0.6])
+    def test_exponents_across_the_floor_match_oracle(self, angle):
+        # at kappa 5000 the largest exponent runs from about -6 to -900, so
+        # the totals cross the floor and, below it, the squared norm of the
+        # weighted sum would underflow without the recomputation
+        rng = np.random.default_rng(23)
+        axis = _unit([0.0, 0.0, 1.0, 0.0])
+        x_points = _bundle(rng, axis, 40, 0.01, 4)
+        x = _far_seed(x_points, axis, angle)
+        got = vmf_shift_step(x_points, x, kappa=5000.0)
+        np.testing.assert_allclose(got, oracle_vmf_step(x_points, x, 5000.0), atol=1e-12)
+
+    def test_mixed_block_rows_match_single_rows(self):
+        rng = np.random.default_rng(24)
+        axis = _unit([1.0, 1.0, 0.0, 0.0])
+        x_points = _bundle(rng, axis, 200, 0.02, 4)
+        far = np.stack([_far_seed(x_points, axis, t) for t in (0.4, 0.7, 1.5, 3.0)])
+        cur = np.concatenate([x_points[:30], far, x_points[30:60] + 1e-3, far[::-1]])
+        cur /= np.linalg.norm(cur, axis=1, keepdims=True)
+        cur = cur[rng.permutation(cur.shape[0])]
+        kappa = 3000.0
+        fallback = _falls_back(cur, x_points, kappa)
+        assert fallback.any() and not fallback.all()
+        a = _augment(x_points)
+        new, bad = _shift_rows(cur, a, kappa)
+        assert not bad.any()
+        for r in range(cur.shape[0]):
+            one, one_bad = _shift_rows(cur[r : r + 1], a, kappa)
+            assert not one_bad[0]
+            np.testing.assert_allclose(new[r], one[0], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("kappa", [0.5, 10.0, 50.0, 350.0, 3000.0])
+    def test_random_blocks_match_oracle(self, d, kappa):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * d + seed)
+            x_points = _bundle_set(rng, d)
+            off = rng.standard_normal((10, d))
+            off /= np.linalg.norm(off, axis=1, keepdims=True)
+            cur = np.concatenate([x_points[rng.choice(x_points.shape[0], 10)], off])
+            new, bad = _shift_rows(cur, _augment(x_points), kappa)
+            assert not bad.any()
+            for r in range(cur.shape[0]):
+                want = oracle_vmf_step(x_points, cur[r], kappa)
+                assert np.linalg.norm(new[r] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestModeSearch:
@@ -191,6 +285,15 @@ class TestModeSearch:
         search = mean_shift_modes(x, VmfConfig(kappa=10.0, max_iters=1, seed_stride=2))
         assert 0 < search.unconverged_seeds <= 100
         assert search.dropped_seeds == 0
+
+    def test_counts_passes_and_row_updates(self):
+        x, _, _ = _planted(seed=0)
+        one = mean_shift_modes(x, VmfConfig(kappa=10.0, max_iters=1, seed_stride=2))
+        assert (one.passes, one.row_updates) == (1, 90)
+        full = mean_shift_modes(x, VmfConfig(kappa=10.0, seed_stride=2))
+        # every seed converges before max_iters, and folding shrinks later passes
+        assert 1 < full.passes < 100
+        assert 90 + full.passes - 1 <= full.row_updates < 90 * full.passes
 
 
 def _bundle_set(rng, d):
