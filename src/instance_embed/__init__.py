@@ -40,12 +40,10 @@ from .losses import (
 from .optimize import (
     OptimizationTrace,
     OptimizerConfig,
-    normalize_field,
     optimize_embeddings,
 )
 from .clustering import (
     ClusterResult,
-    FlatIndex,
     ModeSearch,
     VmfConfig,
     assign_to_modes,
@@ -122,10 +120,8 @@ __all__ = [
     "finite_diff_grad",
     "OptimizationTrace",
     "OptimizerConfig",
-    "normalize_field",
     "optimize_embeddings",
     "ClusterResult",
-    "FlatIndex",
     "ModeSearch",
     "VmfConfig",
     "assign_to_modes",

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryMask, EmbeddingField, Grid2D, _freeze, validate_pair
-from .errors import DegenerateShift, EmptyForeground
-from .optimize import normalize_field
+from .errors import DegenerateShift, DegenerateVector, EmptyForeground
 
 # Seeds are iterated, folded and merge frontiers expanded in fixed-size
 # blocks, which bounds the block x n dot, kernel-weight and angle matrices.
@@ -75,18 +74,6 @@ class VmfConfig:
 
 
 @dataclass(frozen=True)
-class FlatIndex:
-    """Inverse of flatten_foreground: raveled pixel index per matrix row."""
-
-    indices: np.ndarray
-    height: int
-    width: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", _freeze(self.indices, np.int64))
-
-
-@dataclass(frozen=True)
 class ModeSearch:
     """Modes recovered by mean-shift, sorted by descending seed-basin size."""
 
@@ -127,20 +114,24 @@ class ClusterResult:
             raise ValueError("assignment indices must lie in {-1, 0..num_clusters-1}")
 
 
-def flatten_foreground(emb: EmbeddingField, mask: BinaryMask):
-    """Stack the embeddings of mask-1 pixels into an (n, D) matrix.
+def flatten_foreground(emb: EmbeddingField, mask: BinaryMask) -> np.ndarray:
+    """Stack the mask-1 embeddings, each scaled to unit norm, into (n, D).
 
-    Rows follow row-major pixel order; the returned FlatIndex maps each row
-    back to its raveled pixel position.
+    Rows follow row-major pixel order, so row i belongs to the i-th mask-1
+    pixel, np.flatnonzero(mask.values)[i]. Background vectors are never
+    read. Raises EmptyForeground when the mask selects no pixel and
+    DegenerateVector when a selected vector has norm < 1e-12.
     """
     validate_pair(emb, mask)
-    if not emb.normalized:
-        raise ValueError("flatten_foreground requires a normalized field")
     sel = mask.values.ravel().astype(bool)
     if not sel.any():
         raise EmptyForeground("mask selects no pixels")
     x = emb.values.reshape(-1, emb.dim)[sel]
-    return x, FlatIndex(np.flatnonzero(sel), emb.height, emb.width)
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if norms.min() < 1e-12:
+        raise DegenerateVector("cannot normalize a vector with norm < 1e-12")
+    x /= norms[:, None]
+    return x
 
 
 def _augment(x_points: np.ndarray) -> np.ndarray:
@@ -317,50 +308,49 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     n_dropped = int(weight[dropped].sum())
 
     alive = np.flatnonzero(~dropped & (weight > 0))
-    modes = []
-    counts = []
-    first_seed = []
-    if alive.size:
-        pts = pts[alive]
-        weight = weight[alive]
-        comp = _single_linkage(pts, cfg.merge_tolerance)
-        # members of each component in ascending row order, the root first
-        by_comp = np.argsort(comp, kind="stable")
-        for members in np.split(by_comp, np.cumsum(np.bincount(comp))[:-1]):
-            count = int(weight[members].sum())
-            mean = weight[members] @ pts[members] / count
-            norm = float(np.sqrt(mean @ mean))
-            if norm < 1e-12:
-                n_dropped += count
-                continue
-            modes.append(mean / norm)
-            counts.append(count)
-            first_seed.append(int(alive[members[0]]))
-    if not modes:
-        return ModeSearch(
-            np.zeros((0, x_points.shape[1])), np.zeros(0, dtype=np.int64), n_dropped,
-            n_unconverged, passes, row_updates,
-        )
-    order = sorted(range(len(modes)), key=lambda i: (-counts[i], first_seed[i]))
-    modes_arr = np.stack([modes[i] for i in order])
-    counts_arr = np.array([counts[i] for i in order], dtype=np.int64)
-    return ModeSearch(modes_arr, counts_arr, n_dropped, n_unconverged, passes, row_updates)
+    pts, weight = pts[alive], weight[alive]
+    comp = _single_linkage(pts, cfg.merge_tolerance)
+    modes, counts = [], []
+    # members of each component in ascending row order; the last split is empty
+    by_comp = np.argsort(comp, kind="stable")
+    for members in np.split(by_comp, np.cumsum(np.bincount(comp)))[:-1]:
+        count = int(weight[members].sum())
+        mean = weight[members] @ pts[members] / count
+        norm = float(np.sqrt(mean @ mean))
+        if norm < 1e-12:
+            n_dropped += count
+            continue
+        modes.append(mean / norm)
+        counts.append(count)
+    # Components are numbered by their smallest row and alive is ascending,
+    # so a stable sort breaks count ties by the earliest contributing seed.
+    counts = np.array(counts, dtype=np.int64)
+    order = np.argsort(-counts, kind="stable")
+    modes = np.reshape(modes, (-1, x_points.shape[1]))[order]
+    return ModeSearch(modes, counts[order], n_dropped, n_unconverged, passes, row_updates)
 
 
 def assign_to_modes(
-    x_points: np.ndarray, index: FlatIndex, modes: np.ndarray, cfg: VmfConfig
+    x_points: np.ndarray, mask: BinaryMask, modes: np.ndarray, cfg: VmfConfig
 ) -> ClusterResult:
     """Assign every point to its angularly nearest mode and dissolve runts.
 
-    Clusters owning fewer than min_cluster_pixels pixels, or no pixel at all,
-    are dissolved and their pixels reassigned to the nearest surviving mode;
-    ties go to the lowest mode index. With no mode or no survivor at all,
-    every pixel is left unassigned (-1).
+    x_points holds one row per mask-1 pixel in row-major order, as
+    flatten_foreground returns them; the assignment grid has the mask's
+    shape and -1 off the mask. Clusters owning fewer than min_cluster_pixels
+    pixels, or no pixel at all, are dissolved and their pixels reassigned
+    to the nearest surviving mode; ties go to the lowest mode index. With no
+    mode or no survivor at all, every pixel is left unassigned (-1).
     """
     if modes.ndim != 2:
         raise ValueError("modes must be an (M, D) matrix")
+    pixels = np.flatnonzero(mask.values)
+    if pixels.size != x_points.shape[0]:
+        raise ValueError(
+            f"{x_points.shape[0]} point rows for a mask that selects {pixels.size} pixels"
+        )
     n_modes = modes.shape[0]
-    grid = np.full(index.height * index.width, -1, dtype=np.int64)
+    grid = np.full(mask.values.shape, -1, dtype=np.int64)
     keep = np.zeros(n_modes, dtype=bool)
     if n_modes:
         dots = x_points @ modes.T
@@ -368,22 +358,15 @@ def assign_to_modes(
         keep = np.bincount(assign, minlength=n_modes) >= max(cfg.min_cluster_pixels, 1)
     if not keep.any():
         empty = np.zeros((0, modes.shape[1]))
-        return ClusterResult(
-            empty, Grid2D(grid.reshape(index.height, index.width)), 0, np.zeros(0, dtype=np.int64)
-        )
+        return ClusterResult(empty, Grid2D(grid), 0, np.zeros(0, dtype=np.int64))
 
     new_pos = np.cumsum(keep) - 1  # old mode index -> surviving index
     survivors = np.flatnonzero(keep)
     nearest_surv = np.argmax(dots[:, survivors], axis=1)
     final = np.where(keep[assign], new_pos[assign], nearest_surv)
-    grid[index.indices] = final
+    grid.ravel()[pixels] = final
     basin = np.bincount(final, minlength=survivors.size)
-    return ClusterResult(
-        modes[survivors],
-        Grid2D(grid.reshape(index.height, index.width)),
-        int(survivors.size),
-        basin,
-    )
+    return ClusterResult(modes[survivors], Grid2D(grid), int(survivors.size), basin)
 
 
 def cluster_field(
@@ -391,13 +374,10 @@ def cluster_field(
 ) -> tuple[ClusterResult, ModeSearch]:
     """flatten_foreground, mean_shift_modes, and assign_to_modes end to end.
 
-    Accepts raw embeddings and normalizes them over the mask first; fields
-    that already carry unit vectors pass through unchanged. Returns the
-    assignment and the mode search it came from, whose seed counters the
-    assignment does not carry.
+    Takes raw embeddings: flatten_foreground scales the mask-1 vectors to
+    unit norm. Returns the assignment and the mode search it came from,
+    whose seed counters the assignment does not carry.
     """
-    if not emb.normalized:
-        emb = normalize_field(emb, mask)
-    x_points, index = flatten_foreground(emb, mask)
+    x_points = flatten_foreground(emb, mask)
     search = mean_shift_modes(x_points, cfg)
-    return assign_to_modes(x_points, index, search.modes, cfg), search
+    return assign_to_modes(x_points, mask, search.modes, cfg), search

@@ -23,7 +23,7 @@ DEFAULT_EMBEDDING_DIM = 8
 class MetricsConfig:
     """Evaluation settings: class list and recall thresholds."""
 
-    classes: tuple = (0,)
+    classes: tuple[int, ...] = (0,)
     recall_iou_threshold: float = 0.5
     recall_score_threshold: float = 0.5
 
@@ -62,7 +62,9 @@ _TYPE_CHECKS = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "tuple": lambda v: isinstance(v, (list, tuple)),
+    "tuple[int, ...]": lambda v: (
+        isinstance(v, (list, tuple)) and all(_TYPE_CHECKS["int"](c) for c in v)
+    ),
 }
 
 

@@ -58,14 +58,9 @@ class Grid2D(_Plane):
 
 @dataclass(frozen=True)
 class EmbeddingField(_Plane):
-    """H x W grid of D-dimensional real vectors.
-
-    `normalized` records that every vector (or every foreground vector, when
-    the field was normalized against a mask) has unit Euclidean norm.
-    """
+    """H x W grid of D-dimensional real vectors."""
 
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)

@@ -2,8 +2,8 @@
 
 Stands in for training an embedding head at desk scale: initialize every
 pixel's embedding uniformly at random, then run fixed-step gradient descent
-on the discriminative loss against a ground-truth label map. Also provides
-post-hoc normalization onto the unit sphere for clustering.
+on the discriminative loss against a ground-truth label map. The field is
+returned as descended; clustering scales its foreground rows to unit norm.
 """
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryMask, EmbeddingField, LabelMap, validate_pair
-from .errors import DegenerateVector, NonFiniteLoss
+from .core import EmbeddingField, LabelMap
+from .errors import NonFiniteLoss
 from .losses import DiscriminativeConfig, _gather, _plan_labels, _value_and_grad
 
 _INIT_SCALE = 1.0  # half-width of the uniform initial embeddings
@@ -97,25 +97,3 @@ def optimize_embeddings(
         breakdowns.append(bd)
     field.reshape(-1, d)[plan.fg] = pts
     return OptimizationTrace(tuple(breakdowns), EmbeddingField(field), steps)
-
-
-def normalize_field(emb: EmbeddingField, mask: BinaryMask | None = None) -> EmbeddingField:
-    """Scale vectors to unit Euclidean norm.
-
-    With a mask, only mask-1 pixels are normalized and background vectors are
-    copied through unchanged (they are exempt from the unit-norm contract).
-    Raises DegenerateVector if any vector to be normalized has norm < 1e-12.
-    """
-    values = emb.values
-    norms = np.sqrt(np.einsum("hwd,hwd->hw", values, values))
-    if mask is not None:
-        validate_pair(emb, mask)
-        select = mask.values.astype(bool)
-    else:
-        select = np.ones(norms.shape, dtype=bool)
-    picked = norms[select]
-    if picked.size and picked.min() < 1e-12:
-        raise DegenerateVector("cannot normalize a vector with norm < 1e-12")
-    out = values.copy()
-    out[select] = values[select] / norms[select][:, None]
-    return EmbeddingField(out, normalized=True)

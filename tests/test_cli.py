@@ -214,6 +214,28 @@ class TestCluster:
         assert list(out.iterdir()) == []
 
 
+    @pytest.mark.parametrize("masked, code", [(True, 4), (False, 0)])
+    def test_zero_vector_under_mask_exits_4_before_writing(self, tmp_path, masked, code):
+        from instance_embed import BinaryMask
+
+        v = np.zeros((8, 8, 3))
+        v[:4] = [1.0, 0.2, 0.0]
+        v[4:] = [0.0, 0.2, 1.0]
+        v[2, 5] = 0.0
+        mask = np.ones((8, 8), dtype=np.uint8)
+        mask[2, 5] = masked
+        fileio.write_embf(tmp_path / "emb.embf", v)
+        fileio.write_mask(tmp_path / "mask.pgm", BinaryMask(mask))
+        out = tmp_path / "clu"
+        rc = main(["cluster", "--embeddings", str(tmp_path / "emb.embf"),
+                   "--mask", str(tmp_path / "mask.pgm"), "--out", str(out)])
+        assert rc == code
+        if masked:
+            assert list(out.iterdir()) == []
+        else:
+            assert fileio.read_labels(out / "instances.pgm").values[2, 5] == 0
+
+
 class TestEval:
     def test_segmentation_pair(self, tmp_path):
         scene = tmp_path / "scene"

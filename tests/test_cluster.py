@@ -10,9 +10,9 @@ from instance_embed import (
     BinaryMask,
     ClusterResult,
     DegenerateShift,
+    DegenerateVector,
     EmbeddingField,
     EmptyForeground,
-    FlatIndex,
     Grid2D,
     VmfConfig,
     assign_to_modes,
@@ -43,6 +43,10 @@ def _unit(v):
 def _bundle(rng, center, n, spread, d):
     pts = center[None, :] + spread * rng.standard_normal((n, d))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _full_mask(h, w):
+    return BinaryMask(np.ones((h, w), dtype=np.uint8))
 
 
 def _planted(seed=0, n_per=60, d=4, centers=None, spread=0.05):
@@ -263,6 +267,24 @@ class TestModeSearch:
         with pytest.raises(ValueError):
             mean_shift_modes(np.zeros((0, 3)), VmfConfig())
 
+    def test_cancelling_component_leaves_no_mode(self):
+        # both antipodal seeds stay put and a merge tolerance above pi joins
+        # them; their mean is the origin, so both seeds are dropped
+        x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        search = mean_shift_modes(x, VmfConfig(kappa=1.0, merge_tolerance=3.2))
+        assert search.modes.shape == (0, 3)
+        assert search.basin_seeds.shape == (0,)
+        assert search.dropped_seeds == 2
+
+    def test_equal_basins_keep_the_earliest_seed_first(self):
+        rng = np.random.default_rng(3)
+        a = _bundle(rng, _unit([1, 0, 0]), 20, 0.01, 3)
+        b = _bundle(rng, _unit([0, 1, 0]), 20, 0.01, 3)
+        for x, first in ((np.concatenate([a, b]), 0), (np.concatenate([b, a]), 1)):
+            search = mean_shift_modes(x, VmfConfig(kappa=50.0))
+            np.testing.assert_array_equal(search.basin_seeds, [20, 20])
+            assert np.argmax(search.modes[0]) == first
+
     def test_isotropic_directions_chain_into_one_mode(self):
         # directions spread over the whole sphere: with a merge tolerance
         # near the right angle, single linkage chains everything together
@@ -324,10 +346,10 @@ class TestSeedCollapse:
             modes, basin, dropped, _ = oracle_mean_shift(
                 x, cfg.kappa, cfg.max_iters, cfg.shift_tolerance, cfg.merge_tolerance,
                 cfg.seed_stride)
-            index = FlatIndex(np.arange(x.shape[0]), 1, x.shape[0])
+            mask = _full_mask(1, x.shape[0])
             np.testing.assert_array_equal(
-                assign_to_modes(x, index, got.modes, cfg).assignment.values,
-                assign_to_modes(x, index, modes, cfg).assignment.values,
+                assign_to_modes(x, mask, got.modes, cfg).assignment.values,
+                assign_to_modes(x, mask, modes, cfg).assignment.values,
             )
             np.testing.assert_array_equal(got.basin_seeds, basin)
             assert got.dropped_seeds == dropped
@@ -437,10 +459,9 @@ class TestAssignment:
     def test_planted_assignment_matches_truth(self):
         x, truth, centers = _planted(seed=0)
         h, w = 12, 15  # 180 = 3 * 60 points
-        index = FlatIndex(np.arange(h * w), h, w)
         cfg = VmfConfig(kappa=10.0)
         search = mean_shift_modes(x, cfg)
-        result = assign_to_modes(x, index, search.modes, cfg)
+        result = assign_to_modes(x, _full_mask(h, w), search.modes, cfg)
         assert result.num_clusters == 3
         got = result.assignment.values.ravel()
         # same partition: each planted cluster maps to exactly one mode
@@ -454,11 +475,10 @@ class TestAssignment:
         b = _bundle(rng, _unit([0, 1, 0.2]), 30, 0.01, 3)
         runt = _bundle(rng, _unit([0.1, 0, -1]), 5, 0.01, 3)
         x = np.concatenate([a, b, runt])
-        index = FlatIndex(np.arange(65), 1, 65)
         cfg = VmfConfig(kappa=50.0, min_cluster_pixels=16)
         search = mean_shift_modes(x, cfg)
         assert search.modes.shape[0] == 3
-        result = assign_to_modes(x, index, search.modes, cfg)
+        result = assign_to_modes(x, _full_mask(1, 65), search.modes, cfg)
         assert result.num_clusters == 2
         assert np.all(result.assignment.values >= 0)
         assert int(result.basin_pixels.sum()) == 65
@@ -470,10 +490,9 @@ class TestAssignment:
     def test_no_survivor_leaves_everything_unassigned(self):
         rng = np.random.default_rng(7)
         x = _bundle(rng, _unit([1, 1, 1]), 10, 0.01, 3)
-        index = FlatIndex(np.arange(10), 2, 5)
         cfg = VmfConfig(kappa=50.0, min_cluster_pixels=16)
         search = mean_shift_modes(x, cfg)
-        result = assign_to_modes(x, index, search.modes, cfg)
+        result = assign_to_modes(x, _full_mask(2, 5), search.modes, cfg)
         assert result.num_clusters == 0
         assert np.all(result.assignment.values == -1)
 
@@ -481,8 +500,7 @@ class TestAssignment:
         # what mean shift returns when every seed was dropped
         rng = np.random.default_rng(8)
         x = _bundle(rng, _unit([1, 0, 0]), 6, 0.01, 3)
-        index = FlatIndex(np.arange(6), 2, 3)
-        result = assign_to_modes(x, index, np.zeros((0, 3)), VmfConfig())
+        result = assign_to_modes(x, _full_mask(2, 3), np.zeros((0, 3)), VmfConfig())
         assert result.num_clusters == 0
         assert result.modes.shape == (0, 3)
         assert result.basin_pixels.shape == (0,)
@@ -491,9 +509,8 @@ class TestAssignment:
     def test_mode_without_pixels_dissolves_at_zero_minimum(self):
         # the second mode is antipodal to every point, so it wins no pixel
         x = _bundle(np.random.default_rng(5), _unit([1, 0, 0]), 6, 0.01, 3)
-        index = FlatIndex(np.arange(6), 2, 3)
         modes = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        result = assign_to_modes(x, index, modes, VmfConfig(min_cluster_pixels=0))
+        result = assign_to_modes(x, _full_mask(2, 3), modes, VmfConfig(min_cluster_pixels=0))
         assert result.num_clusters == 1
         np.testing.assert_array_equal(result.basin_pixels, [6])
         assert np.all(result.assignment.values == 0)
@@ -501,13 +518,31 @@ class TestAssignment:
     def test_background_pixels_stay_negative(self):
         x, _, _ = _planted(seed=0, n_per=20)
         # place the 60 points into a 10x10 grid, leaving 40 background cells
-        index = FlatIndex(np.arange(60), 10, 10)
+        mask = np.zeros(100, dtype=np.uint8)
+        mask[:60] = 1
         cfg = VmfConfig(kappa=10.0, min_cluster_pixels=4)
         search = mean_shift_modes(x, cfg)
-        result = assign_to_modes(x, index, search.modes, cfg)
+        result = assign_to_modes(x, BinaryMask(mask.reshape(10, 10)), search.modes, cfg)
         flat = result.assignment.values.ravel()
         assert np.all(flat[60:] == -1)
         assert np.all(flat[:60] >= 0)
+
+    def test_scatters_rows_to_mask_pixels_in_row_major_order(self):
+        mask = np.zeros((3, 4), dtype=np.uint8)
+        mask[0, 2] = mask[1, 0] = mask[2, 3] = 1
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        modes = np.array([[1.0, 0.0], [0.0, 1.0]])
+        result = assign_to_modes(x, BinaryMask(mask), modes, VmfConfig(min_cluster_pixels=1))
+        want = np.full((3, 4), -1)
+        want[0, 2], want[1, 0], want[2, 3] = 0, 1, 0
+        np.testing.assert_array_equal(result.assignment.values, want)
+
+    def test_row_count_must_match_mask(self):
+        x = _bundle(np.random.default_rng(5), _unit([1, 0, 0]), 6, 0.01, 3)
+        mask = np.ones((2, 4), dtype=np.uint8)
+        with pytest.raises(ValueError) as err:
+            assign_to_modes(x, BinaryMask(mask), np.eye(3)[:1], VmfConfig())
+        assert "6" in str(err.value) and "8" in str(err.value)
 
 
 class TestFlattenForeground:
@@ -515,31 +550,47 @@ class TestFlattenForeground:
         rng = np.random.default_rng(0)
         v = rng.standard_normal((3, 4, 2))
         v /= np.linalg.norm(v, axis=2, keepdims=True)
-        emb = EmbeddingField(v, normalized=True)
+        emb = EmbeddingField(v)
         mask = np.zeros((3, 4), dtype=np.uint8)
         mask[0, 2] = mask[1, 0] = mask[2, 3] = 1
-        x, index = flatten_foreground(emb, BinaryMask(mask))
+        x = flatten_foreground(emb, BinaryMask(mask))
         assert x.shape == (3, 2)
-        np.testing.assert_array_equal(index.indices, [2, 4, 11])
         np.testing.assert_allclose(x[0], v[0, 2])
         np.testing.assert_allclose(x[1], v[1, 0])
         np.testing.assert_allclose(x[2], v[2, 3])
 
     def test_empty_mask_raises(self):
-        emb = EmbeddingField(np.ones((2, 2, 2)) / np.sqrt(2), normalized=True)
+        emb = EmbeddingField(np.ones((2, 2, 2)) / np.sqrt(2))
         with pytest.raises(EmptyForeground):
             flatten_foreground(emb, BinaryMask(np.zeros((2, 2), dtype=np.uint8)))
 
-    def test_unnormalized_field_rejected(self):
-        emb = EmbeddingField(np.ones((2, 2, 2)))
-        with pytest.raises(ValueError):
-            flatten_foreground(emb, BinaryMask(np.ones((2, 2), dtype=np.uint8)))
+    def test_rows_are_unit_and_keep_direction(self):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((5, 6, 4)) * 3.0
+        x = flatten_foreground(EmbeddingField(v), _full_mask(5, 6))
+        np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
+        x = flatten_foreground(EmbeddingField(np.full((1, 1, 2), 3.0)), _full_mask(1, 1))
+        np.testing.assert_allclose(x[0], [1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-12)
+
+    def test_zero_vector_raises(self):
+        v = np.ones((2, 2, 3))
+        v[0, 1] = 0.0
+        with pytest.raises(DegenerateVector):
+            flatten_foreground(EmbeddingField(v), _full_mask(2, 2))
+
+    def test_zero_vector_outside_mask_ignored(self):
+        v = np.ones((2, 2, 3))
+        v[0, 1] = 0.0
+        mask = np.ones((2, 2), dtype=np.uint8)
+        mask[0, 1] = 0
+        x = flatten_foreground(EmbeddingField(v), BinaryMask(mask))
+        np.testing.assert_allclose(x, np.full((3, 3), 1 / np.sqrt(3)), rtol=1e-15)
 
 
 class TestClusterField:
     def _field_from_points(self, x, h, w):
         v = x.reshape(h, w, x.shape[1])
-        return EmbeddingField(v, normalized=True)
+        return EmbeddingField(v)
 
     def test_end_to_end_recovery(self):
         x, truth, _ = _planted(seed=0)

@@ -1,4 +1,7 @@
 """Run-config parsing: defaults, strictness, and type checks."""
+import json
+
+import numpy as np
 import pytest
 
 from instance_embed import (
@@ -134,6 +137,24 @@ class TestMetricsConfig:
     def test_classes_coerced_to_ints(self):
         m = MetricsConfig(classes=[0, 1])
         assert m.classes == (0, 1)
+
+    def test_numpy_integer_classes_accepted(self):
+        m = MetricsConfig(classes=[np.int64(0), np.int32(2)])
+        assert m.classes == (0, 2)
+        assert all(type(c) is int for c in m.classes)
+
+    @pytest.mark.parametrize("bad", [[0.7], [True], ["0"], [0, 1.0]])
+    def test_non_int_class_entries_rejected(self, bad, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_run_config({"metrics": {"classes": bad}})
+        assert "metrics.classes" in str(err.value)
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"metrics": {"classes": bad}}) + "\n")
+        assert main(["gen", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
+    def test_int_class_entries_accepted(self):
+        cfg = parse_run_config({"metrics": {"classes": [0, 3]}})
+        assert cfg.metrics.classes == (0, 3)
 
     def test_empty_classes_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ class TestEmbeddingField:
     def test_accepts_float_3d(self):
         f = EmbeddingField(np.zeros((4, 5, 3)))
         assert f.height == 4 and f.width == 5 and f.dim == 3
-        assert not f.normalized
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):

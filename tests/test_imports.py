@@ -1,9 +1,12 @@
-"""Every top-level import in the package modules is used.
+"""Every top-level import in the package modules is used, and the package
+root's __all__ matches its re-exports.
 
 Checked with the standard library's ast alone, so no linter is needed. The
-package __init__ is exempt: its imports are the public re-exports.
+package __init__ is exempt from the unused-import check: its imports are the
+public re-exports.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,27 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def root_imports() -> set:
+    """Public names the package __init__ binds with a top-level import."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+
+
+def test_every_all_entry_resolves():
+    package = importlib.import_module("instance_embed")
+    assert len(set(package.__all__)) == len(package.__all__)
+    assert [n for n in package.__all__ if not hasattr(package, n)] == []
+
+
+def test_every_root_import_is_in_all():
+    package = importlib.import_module("instance_embed")
+    assert "EmbeddingField" in root_imports()
+    assert sorted(root_imports() - set(package.__all__)) == []

@@ -1,10 +1,8 @@
-"""Gradient descent driver and field normalization."""
+"""Gradient descent driver."""
 import numpy as np
 import pytest
 
 from instance_embed import (
-    BinaryMask,
-    DegenerateVector,
     DiscriminativeConfig,
     EmbeddingField,
     EmptyInstance,
@@ -13,7 +11,6 @@ from instance_embed import (
     OptimizerConfig,
     discriminative_grad,
     discriminative_loss,
-    normalize_field,
     optimize_embeddings,
 )
 
@@ -130,44 +127,3 @@ class TestStopping:
             optimize_embeddings(LabelMap(lab), 3, DiscriminativeConfig(), OptimizerConfig())
         assert "instance ID 2" in str(err.value)
 
-
-class TestNormalizeField:
-    def test_unit_norm_everywhere(self):
-        rng = np.random.default_rng(0)
-        emb = EmbeddingField(rng.standard_normal((5, 6, 4)) * 3.0)
-        out = normalize_field(emb)
-        norms = np.linalg.norm(out.values, axis=2)
-        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
-        assert out.normalized
-
-    def test_masked_normalization_leaves_background(self):
-        rng = np.random.default_rng(1)
-        emb = EmbeddingField(rng.standard_normal((4, 4, 3)) + 2.0)
-        mask = np.zeros((4, 4), dtype=np.uint8)
-        mask[1:3, 1:3] = 1
-        out = normalize_field(emb, BinaryMask(mask))
-        fg = mask.astype(bool)
-        norms = np.linalg.norm(out.values[fg], axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        np.testing.assert_array_equal(out.values[~fg], emb.values[~fg])
-
-    def test_direction_preserved(self):
-        emb = EmbeddingField(np.full((1, 1, 2), 3.0))
-        out = normalize_field(emb)
-        np.testing.assert_allclose(
-            out.values[0, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-12
-        )
-
-    def test_zero_vector_raises(self):
-        v = np.ones((2, 2, 3))
-        v[0, 1] = 0.0
-        with pytest.raises(DegenerateVector):
-            normalize_field(EmbeddingField(v))
-
-    def test_zero_vector_outside_mask_ignored(self):
-        v = np.ones((2, 2, 3))
-        v[0, 1] = 0.0
-        mask = np.ones((2, 2), dtype=np.uint8)
-        mask[0, 1] = 0
-        out = normalize_field(EmbeddingField(v), BinaryMask(mask))
-        assert np.all(out.values[0, 1] == 0.0)
