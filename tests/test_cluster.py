@@ -578,6 +578,14 @@ class TestFlattenForeground:
         with pytest.raises(DegenerateVector):
             flatten_foreground(EmbeddingField(v), _full_mask(2, 2))
 
+    def test_unnormalized_field_rejected(self):
+        # rows of norm 1e-13 are not zero, but too short to scale to unit norm
+        emb = EmbeddingField(np.full((2, 2, 2), 1e-13 / np.sqrt(2)))
+        with pytest.raises(DegenerateVector):
+            flatten_foreground(emb, _full_mask(2, 2))
+        x = flatten_foreground(EmbeddingField(np.full((2, 2, 2), 1e-11)), _full_mask(2, 2))
+        np.testing.assert_allclose(x, np.full((4, 2), 1 / np.sqrt(2)), rtol=1e-15)
+
     def test_zero_vector_outside_mask_ignored(self):
         v = np.ones((2, 2, 3))
         v[0, 1] = 0.0

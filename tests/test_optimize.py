@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from instance_embed import (
+    BinaryMask,
     DiscriminativeConfig,
     EmbeddingField,
     EmptyInstance,
@@ -11,6 +12,7 @@ from instance_embed import (
     OptimizerConfig,
     discriminative_grad,
     discriminative_loss,
+    flatten_foreground,
     optimize_embeddings,
 )
 
@@ -127,3 +129,30 @@ class TestStopping:
             optimize_embeddings(LabelMap(lab), 3, DiscriminativeConfig(), OptimizerConfig())
         assert "instance ID 2" in str(err.value)
 
+
+class TestNormalizeField:
+    """The descent returns a raw field; clustering scales its rows to unit norm."""
+
+    def _optimized(self):
+        labels = _two_band_labels(8, 8)
+        trace = optimize_embeddings(
+            labels, 3, DiscriminativeConfig(), OptimizerConfig(step_size=5.0, max_steps=10, seed=2)
+        )
+        return trace.final, BinaryMask(np.ones((8, 8), dtype=np.uint8))
+
+    def test_unit_norm_everywhere(self):
+        emb, mask = self._optimized()
+        raw = np.linalg.norm(emb.values, axis=2)
+        assert np.abs(raw - 1.0).max() > 0.1  # the optimized field is not unit
+        x = flatten_foreground(emb, mask)
+        np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_direction_preserved(self):
+        emb, mask = self._optimized()
+        before = emb.values.copy()
+        x = flatten_foreground(emb, mask)
+        rows = before.reshape(-1, emb.dim)
+        np.testing.assert_allclose(
+            x * np.linalg.norm(rows, axis=1)[:, None], rows, rtol=1e-12, atol=0
+        )
+        np.testing.assert_array_equal(emb.values, before)
