@@ -94,6 +94,8 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
         out / "trace.json",
         {
             "steps_taken": trace.steps_taken,
+            "stop_reason": trace.stop_reason,
+            "final_grad_norm": trace.final_grad_norm,
             "entries": [
                 {"l_var": b.l_var, "l_dist": b.l_dist, "l_reg": b.l_reg, "total": b.total}
                 for b in trace.breakdowns
@@ -102,8 +104,10 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
     )
     step_ms = 1000.0 * seconds / trace.steps_taken if trace.steps_taken else 0.0
     log.info(
-        "optimized %d steps in %.3f s (%.3f ms/step), final total %s",
+        "optimized %d steps in %.3f s (%.3f ms/step), final total %s, "
+        "stop_reason %s, final_grad_norm %.3g",
         trace.steps_taken, seconds, step_ms, trace.breakdowns[-1].total,
+        trace.stop_reason, trace.final_grad_norm,
     )
 
 
@@ -133,6 +137,13 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             "unconverged_seeds": search.unconverged_seeds,
         },
     )
+    if search.unconverged_seeds:
+        seeds = len(range(0, mask.count(), cfg.cluster.seed_stride))
+        log.warning(
+            "%d of %d mean-shift seeds (%.1f%%) still moving after %d passes",
+            search.unconverged_seeds, seeds, 100.0 * search.unconverged_seeds / seeds,
+            search.passes,
+        )
     log.info(
         "found %d clusters in %.3f s (%d passes, %d row updates, %.2f us/row update)",
         result.num_clusters, seconds, search.passes, search.row_updates,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .clustering import VmfConfig
 from .errors import ConfigError
 from .fileio import read_json
@@ -28,6 +30,9 @@ class MetricsConfig:
     recall_score_threshold: float = 0.5
 
     def __post_init__(self):
+        for c in self.classes:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"classes entries must be integers, got {c!r}")
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
         if not self.classes:
             raise ValueError("classes must be non-empty")

@@ -25,7 +25,9 @@ class OptimizerConfig:
 
     step_size scales with foreground pixel count: the pull term's per-pixel
     gradient carries a 1/(C*n_c) factor, so useful steps on dense maps are
-    much larger than 1.
+    much larger than 1. A positive loss_tolerance stops descent once the
+    hinge part alpha*l_var + beta*l_dist is at or below it; the gamma*l_reg
+    term never reaches zero, so it is left out. 0.0 runs all max_steps.
     """
 
     step_size: float = 40.0
@@ -49,12 +51,16 @@ class OptimizationTrace:
     """Loss curve of a descent run.
 
     breakdowns[0] is the loss at initialization and each later entry follows
-    one update, so len(breakdowns) == steps_taken + 1.
+    one update, so len(breakdowns) == steps_taken + 1. stop_reason is
+    "loss_tolerance" or "max_steps", and final_grad_norm is the Frobenius
+    norm of the foreground gradient at the returned field.
     """
 
     breakdowns: tuple
     final: EmbeddingField
     steps_taken: int
+    stop_reason: str
+    final_grad_norm: float
 
 
 def optimize_embeddings(
@@ -67,10 +73,12 @@ def optimize_embeddings(
 
     Embeddings start uniform in [-1, +1] per coordinate.
     Each step subtracts step_size times the analytic gradient; the breakdown
-    at initialization and after every update is recorded. Stops when the
-    total drops to loss_tolerance or after max_steps updates, whichever
-    comes first. Only foreground rows move: background pixels keep their
-    initial values, since the loss does not depend on them.
+    at initialization and after every update is recorded. Stops when a
+    positive loss_tolerance is met by the hinge part alpha*l_var +
+    beta*l_dist, or after max_steps updates, whichever comes first; a
+    tolerance of 0.0 runs all max_steps. Only foreground rows move:
+    background pixels keep their initial values, since the loss does not
+    depend on them.
     """
     if d < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {d}")
@@ -83,9 +91,14 @@ def optimize_embeddings(
     bd, grad = _value_and_grad(pts, plan, loss_cfg)
     if not bd.finite():
         raise NonFiniteLoss("loss is not finite at initialization")
+    tol = opt_cfg.loss_tolerance
+
+    def separated(bd) -> bool:
+        return tol > 0.0 and loss_cfg.alpha * bd.l_var + loss_cfg.beta * bd.l_dist <= tol
+
     breakdowns = [bd]
     steps = 0
-    while bd.total > opt_cfg.loss_tolerance and steps < opt_cfg.max_steps:
+    while not separated(bd) and steps < opt_cfg.max_steps:
         grad *= opt_cfg.step_size
         pts -= grad
         steps += 1
@@ -96,4 +109,6 @@ def optimize_embeddings(
             raise NonFiniteLoss(f"loss diverged after {steps} steps; reduce step_size")
         breakdowns.append(bd)
     field.reshape(-1, d)[plan.fg] = pts
-    return OptimizationTrace(tuple(breakdowns), EmbeddingField(field), steps)
+    reason = "loss_tolerance" if separated(bd) else "max_steps"
+    grad_norm = float(np.linalg.norm(grad))
+    return OptimizationTrace(tuple(breakdowns), EmbeddingField(field), steps, reason, grad_norm)

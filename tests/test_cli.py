@@ -88,6 +88,23 @@ class TestOptimize:
         assert len(doc["entries"]) == 6  # initial evaluation plus five steps
         assert set(doc["entries"][0]) == {"l_var", "l_dist", "l_reg", "total"}
 
+    def test_trace_records_stop_reason_and_grad_norm(self, tmp_path):
+        scene = self._gen(tmp_path)
+        runs = {"capped": {"max_steps": 5}, "tolerant": {"loss_tolerance": 1e-3}}
+        docs = {}
+        for name, opt in runs.items():
+            cfg = _write_config(tmp_path, {"optimizer": opt}, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["optimize", "--labels", str(scene / "labels.pgm"),
+                         "--config", cfg, "--out", str(out)]) == 0
+            docs[name] = json.loads((out / "trace.json").read_text())
+        assert set(docs["capped"]) == {"steps_taken", "stop_reason", "final_grad_norm", "entries"}
+        assert docs["capped"]["stop_reason"] == "max_steps"
+        assert docs["tolerant"]["stop_reason"] == "loss_tolerance"
+        assert docs["tolerant"]["steps_taken"] < 600
+        for doc in docs.values():
+            assert isinstance(doc["final_grad_norm"], float) and doc["final_grad_norm"] > 0.0
+
     def test_dim_override(self, tmp_path):
         scene = self._gen(tmp_path)
         cfg = _write_config(tmp_path, {"optimizer": {"dim": 3, "max_steps": 1}})
@@ -391,7 +408,11 @@ class TestPipeline:
         assert sorted(p.name for p in (tmp_path / "info").iterdir()) == names
         assert _dir_bytes(tmp_path / "error", names) == _dir_bytes(tmp_path / "info", names)
         assert runs["error"].stderr == ""
-        assert re.search(r"optimized \d+ steps in [\d.]+ s \([\d.]+ ms/step\)", runs["info"].stderr)
+        assert re.search(
+            r"optimized \d+ steps in [\d.]+ s \([\d.]+ ms/step\), final total \S+, "
+            r"stop_reason max_steps, final_grad_norm \S+",
+            runs["info"].stderr,
+        )
         found = re.search(
             r"found \d+ clusters in [\d.]+ s \((\d+) passes, (\d+) row updates, "
             r"[\d.]+ us/row update\)",
@@ -400,6 +421,35 @@ class TestPipeline:
         assert found
         passes, row_updates = int(found[1]), int(found[2])
         assert 1 <= passes <= 100 and row_updates >= passes
+        assert "WARNING" not in runs["info"].stderr  # every seed converged
+
+    def test_unconverged_seeds_warn_on_stderr_only(self, tmp_path):
+        cfg = _write_config(tmp_path, {
+            "scene": {"num_instances": 2, "seed": 4},
+            "optimizer": {"max_steps": 250, "step_size": 40.0, "seed": 4},
+            "cluster": {"merge_tolerance": 1.6, "seed_stride": 5, "max_iters": 1},
+        })
+        runs = {
+            level: self._run_in_subprocess(cfg, tmp_path / level, INSTANCE_EMBED_LOG=level)
+            for level in ("error", "info")
+        }
+        names = sorted(p.name for p in (tmp_path / "error").iterdir())
+        assert _dir_bytes(tmp_path / "error", names) == _dir_bytes(tmp_path / "info", names)
+        assert runs["error"].stderr == ""
+        warnings = [ln for ln in runs["info"].stderr.splitlines() if ln.startswith("WARNING")]
+        assert len(warnings) == 1
+        found = re.fullmatch(
+            r"WARNING instance_embed: (\d+) of (\d+) mean-shift seeds \(([\d.]+)%\) "
+            r"still moving after 1 passes",
+            warnings[0],
+        )
+        assert found
+        unconverged, seeds = int(found[1]), int(found[2])
+        modes = json.loads((tmp_path / "error" / "modes.json").read_text())
+        fg = fileio.read_mask(tmp_path / "error" / "drivable.pgm").count()
+        assert unconverged == modes["unconverged_seeds"] > 0
+        assert seeds == -(-fg // 5)
+        assert float(found[3]) == pytest.approx(100.0 * unconverged / seeds, abs=0.05)
 
     def test_out_tree_independent_of_blas_threads(self, tmp_path):
         # Stride 1 iterates every foreground point, so each mean-shift block

@@ -152,6 +152,11 @@ class TestMetricsConfig:
         p.write_text(json.dumps({"metrics": {"classes": bad}}) + "\n")
         assert main(["gen", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("bad", [[0.7], [True], ["3"], [0, np.float64(1.0)], [np.bool_(True)]])
+    def test_non_int_classes_rejected_by_constructor(self, bad):
+        with pytest.raises(ValueError, match="classes"):
+            MetricsConfig(classes=bad)
+
     def test_int_class_entries_accepted(self):
         cfg = parse_run_config({"metrics": {"classes": [0, 3]}})
         assert cfg.metrics.classes == (0, 3)

@@ -108,6 +108,47 @@ class TestStopping:
         assert trace.steps_taken < 600
         assert trace.breakdowns[-1].total <= 0.05
 
+    def test_tolerance_compares_hinge_part_not_total(self):
+        # gamma*l_reg keeps the total above 1e-3 on two separated bands
+        labels = _two_band_labels()
+        loss_cfg = DiscriminativeConfig()
+        tol = 1e-3
+        trace = optimize_embeddings(
+            labels, 8, loss_cfg,
+            OptimizerConfig(step_size=40.0, max_steps=600, loss_tolerance=tol, seed=0),
+        )
+        hinges = [loss_cfg.alpha * b.l_var + loss_cfg.beta * b.l_dist for b in trace.breakdowns]
+        assert trace.stop_reason == "loss_tolerance"
+        assert trace.steps_taken < 600
+        assert all(b.total > tol for b in trace.breakdowns)
+        assert hinges[-1] <= tol
+        assert all(h > tol for h in hinges[:-1])  # stops at the first step that meets it
+
+    @pytest.mark.parametrize(
+        "tol, steps, reason", [(1e-3, 0, "loss_tolerance"), (0.0, 7, "max_steps")]
+    )
+    def test_one_pixel_instance_has_zero_hinges(self, tol, steps, reason):
+        lab = np.zeros((4, 4), dtype=np.int64)
+        lab[1, 2] = 1
+        trace = optimize_embeddings(
+            LabelMap(lab), 3, DiscriminativeConfig(),
+            OptimizerConfig(max_steps=7, loss_tolerance=tol, seed=1),
+        )
+        assert all(b.l_var == b.l_dist == 0.0 for b in trace.breakdowns)
+        assert trace.steps_taken == steps
+        assert trace.stop_reason == reason
+
+    def test_final_grad_norm_is_gradient_at_returned_field(self):
+        labels = _two_band_labels(8, 8)
+        loss_cfg = DiscriminativeConfig()
+        trace = optimize_embeddings(
+            labels, 3, loss_cfg, OptimizerConfig(step_size=5.0, max_steps=10, seed=2)
+        )
+        want = np.linalg.norm(discriminative_grad(trace.final, labels, loss_cfg))
+        assert trace.stop_reason == "max_steps"
+        assert want > 0.0
+        assert trace.final_grad_norm == pytest.approx(want, rel=1e-12)
+
     def test_huge_step_raises_nonfinite(self):
         labels = _two_band_labels()
         with pytest.raises(NonFiniteLoss):
