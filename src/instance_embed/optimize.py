@@ -53,7 +53,8 @@ class OptimizationTrace:
     breakdowns[0] is the loss at initialization and each later entry follows
     one update, so len(breakdowns) == steps_taken + 1. stop_reason is
     "loss_tolerance" or "max_steps", and final_grad_norm is the Frobenius
-    norm of the foreground gradient at the returned field.
+    norm of the foreground gradient at the returned field, summed without
+    BLAS so that it does not depend on the BLAS thread count.
     """
 
     breakdowns: tuple
@@ -110,5 +111,7 @@ def optimize_embeddings(
         breakdowns.append(bd)
     field.reshape(-1, d)[plan.fg] = pts
     reason = "loss_tolerance" if separated(bd) else "max_steps"
-    grad_norm = float(np.linalg.norm(grad))
+    # einsum, not np.linalg.norm: a multi-threaded ddot splits the sum by
+    # thread count, and leaves an OpenBLAS worker spinning after it.
+    grad_norm = math.sqrt(float(np.einsum("ij,ij->", grad, grad)))
     return OptimizationTrace(tuple(breakdowns), EmbeddingField(field), steps, reason, grad_norm)

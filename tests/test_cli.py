@@ -451,14 +451,34 @@ class TestPipeline:
         assert seeds == -(-fg // 5)
         assert float(found[3]) == pytest.approx(100.0 * unconverged / seeds, abs=0.05)
 
-    def test_out_tree_independent_of_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("doc", [
         # Stride 1 iterates every foreground point, so each mean-shift block
         # is a full 64-row product against the whole point matrix.
-        cfg = _write_config(tmp_path, {
+        {
             "scene": {"num_instances": 3, "seed": 6},
             "optimizer": {"max_steps": 150, "step_size": 40.0, "seed": 6},
             "cluster": {"merge_tolerance": 1.6, "seed_stride": 1},
-        })
+        },
+        # A final_grad_norm summed by a multi-threaded ddot read
+        # 0.0012168394503610897 at one thread and 0.00121683945036109 at two.
+        {
+            "scene": {"num_instances": 4, "layout": "parallel_stripes", "seed": 1003},
+            "optimizer": {"max_steps": 300, "loss_tolerance": 1e-3, "seed": 1003},
+            "cluster": {"seed_stride": 5, "merge_tolerance": 1.65},
+        },
+        # 96x96 at stride 1: 6528 points, over 4096, so mean shift keeps the
+        # default thread count and its products run on two threads in the
+        # second run. 6528 is a multiple of 32, which OpenBLAS 0.3.31 needs
+        # to give those products the same bits at one and two threads.
+        {
+            "scene": {"width": 96, "height": 96, "num_instances": 3,
+                      "layout": "curved_bands", "seed": 6},
+            "optimizer": {"seed": 6},
+            "cluster": {"seed_stride": 1},
+        },
+    ], ids=["stride1", "grad_norm", "above_gate"])
+    def test_out_tree_independent_of_blas_threads(self, tmp_path, doc):
+        cfg = _write_config(tmp_path, doc)
         for threads in ("1", "2"):
             self._run_in_subprocess(cfg, tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
         names = sorted(p.name for p in (tmp_path / "1").iterdir())

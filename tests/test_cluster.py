@@ -22,9 +22,10 @@ from instance_embed import (
     vmf_shift_step,
 )
 
-from instance_embed import fileio
+from instance_embed import _blas, clustering, fileio
 from instance_embed.cli import main
 from instance_embed.clustering import (
+    _SERIAL_BLAS_POINTS,
     _TOTAL_FLOOR,
     _augment,
     _fold_rows,
@@ -316,6 +317,102 @@ class TestModeSearch:
         # every seed converges before max_iters, and folding shrinks later passes
         assert 1 < full.passes < 100
         assert 90 + full.passes - 1 <= full.row_updates < 90 * full.passes
+
+
+needs_openblas = pytest.mark.skipif(
+    _blas._thread_functions() is None,
+    reason="numpy loaded no OpenBLAS with a settable thread count",
+)
+
+
+def _threads():
+    return _blas._thread_functions()[0]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Two OpenBLAS threads during the test, whatever the environment set."""
+    get, put = _blas._thread_functions()
+    before = get()
+    put(2)
+    yield
+    put(before)
+
+
+def _bundled_points(n, seed=0):
+    """n unit points in 8-D around four directions, spread 0.3."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((4, 8))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    x = centers[rng.integers(0, 4, n)] + 0.3 * rng.standard_normal((n, 8))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_blas_threads")
+class TestBlasThreadPolicy:
+    def test_single_thread_restores_count(self):
+        with _blas.single_thread():
+            assert _threads() == 1
+        assert _threads() == 2
+
+    def test_single_thread_restores_count_after_exception(self):
+        with pytest.raises(KeyError):
+            with _blas.single_thread():
+                assert _threads() == 1
+                raise KeyError("body failed")
+        assert _threads() == 2
+
+    def test_no_op_without_openblas(self, monkeypatch):
+        get, _ = _blas._thread_functions()
+        monkeypatch.setattr(_blas, "_thread_functions", lambda: None)
+        with _blas.single_thread():
+            assert get() == 2
+        assert get() == 2
+
+    @pytest.mark.parametrize("n, want", [(3000, 1), (5000, 2)])
+    def test_shift_runs_on_one_thread_below_the_gate(self, monkeypatch, n, want):
+        seen = []
+
+        def recording(cur, a, kappa):
+            seen.append(_threads())
+            return _shift_rows(cur, a, kappa)
+
+        monkeypatch.setattr(clustering, "_shift_rows", recording)
+        assert (n < _SERIAL_BLAS_POINTS) == (want == 1)
+        mean_shift_modes(_bundled_points(n), VmfConfig(seed_stride=5, merge_tolerance=0.5))
+        assert seen and set(seen) == {want}
+        assert _threads() == 2
+
+    # Multiples of 64, as every benchmark scene's pixel count is:
+    # OpenBLAS 0.3.31 gives a (64, n) @ (n, 9) product the same bits at one
+    # and two threads only when n % 32 is 0 or 31.
+    @pytest.mark.parametrize("n", [2944, 4992])
+    def test_gate_leaves_mode_search_bits_unchanged(self, monkeypatch, n):
+        x = _bundled_points(n, seed=n)
+        cfg = VmfConfig(seed_stride=5, merge_tolerance=0.5)
+        runs = []
+        for gate in (0, n + 1):  # never serial, always serial
+            monkeypatch.setattr(clustering, "_SERIAL_BLAS_POINTS", gate)
+            runs.append(mean_shift_modes(x, cfg))
+        multi, serial = runs
+        assert multi.modes.shape[0] > 0
+        assert multi.modes.tobytes() == serial.modes.tobytes()
+        np.testing.assert_array_equal(multi.basin_seeds, serial.basin_seeds)
+        assert (multi.dropped_seeds, multi.unconverged_seeds, multi.passes,
+                multi.row_updates) == (serial.dropped_seeds, serial.unconverged_seeds,
+                                       serial.passes, serial.row_updates)
+
+    def test_result_below_the_gate_ignores_the_callers_count(self):
+        # 3000 % 32 == 24: at two threads these products would round
+        # differently, but below the gate every caller gets the one-thread bits.
+        x = _bundled_points(3000, seed=4)
+        cfg = VmfConfig(seed_stride=5, merge_tolerance=0.5)
+        two = mean_shift_modes(x, cfg)
+        with _blas.single_thread():
+            one = mean_shift_modes(x, cfg)
+        assert one.modes.tobytes() == two.modes.tobytes()
+        np.testing.assert_array_equal(one.basin_seeds, two.basin_seeds)
 
 
 def _bundle_set(rng, d):

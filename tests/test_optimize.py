@@ -147,7 +147,7 @@ class TestStopping:
         want = np.linalg.norm(discriminative_grad(trace.final, labels, loss_cfg))
         assert trace.stop_reason == "max_steps"
         assert want > 0.0
-        assert trace.final_grad_norm == pytest.approx(want, rel=1e-12)
+        assert trace.final_grad_norm == pytest.approx(want, rel=1e-15)
 
     def test_huge_step_raises_nonfinite(self):
         labels = _two_band_labels()
