@@ -24,7 +24,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .clustering import cluster_field
-from .core import BinaryMask, EmbeddingField, LabelMap, validate_pair
+from .core import BinaryMask, EmbeddingField, LabelMap
 from .config import RunConfig, default_run_config, load_run_config, override_seed
 from .errors import (
     ConfigError,
@@ -56,22 +56,6 @@ from .scenes import Scene, gen_scene
 log = logging.getLogger("instance_embed")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _load_config(args) -> RunConfig:
-    cfg = load_run_config(args.config) if args.config else default_run_config()
-    if getattr(args, "seed", None) is not None:
-        cfg = override_seed(cfg, args.seed)
-    return cfg
-
-
-def _out_dir(args, cfg: RunConfig) -> Path:
-    out = args.out or cfg.output_dir
-    if not out:
-        raise ConfigError("no output directory: pass --out or set output_dir")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _gen_stage(cfg: RunConfig, out: Path) -> Scene:
@@ -179,7 +163,6 @@ def _detection_report(preds, gts, metrics_cfg) -> dict:
 
 
 def _instance_report(pred: LabelMap, gt: LabelMap, _metrics_cfg) -> dict:
-    validate_pair(pred, gt)
     flags = []
     if instance_map50_empty(pred.num_instances, gt.num_instances):
         flags.append("map50_empty_vs_empty")
@@ -208,30 +191,22 @@ def _eval_stage(pairs: dict, cfg: RunConfig, out: Path) -> None:
     log.info("wrote %s", ", ".join(report))
 
 
-def cmd_gen(args) -> int:
-    cfg = _load_config(args)
-    _gen_stage(cfg, _out_dir(args, cfg))
-    return 0
+# Each command gets its parsed arguments, the run config and the --out
+# directory, which main has already loaded and created.
+def cmd_gen(args, cfg: RunConfig, out: Path) -> None:
+    _gen_stage(cfg, out)
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_optimize(args, cfg: RunConfig, out: Path) -> None:
     _optimize_stage(fileio.read_labels(args.labels), cfg, out)
-    return 0
 
 
-def cmd_cluster(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_cluster(args, cfg: RunConfig, out: Path) -> None:
     emb = EmbeddingField(fileio.read_embf(args.embeddings))
     _cluster_stage(emb, fileio.read_mask(args.mask), cfg, out)
-    return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_eval(args, cfg: RunConfig, out: Path) -> None:
     pairs = {}
     for task, (pred_flag, gt_flag, _, _) in _EVAL_TASKS.items():
         pred, gt = getattr(args, pred_flag), getattr(args, gt_flag)
@@ -243,12 +218,9 @@ def cmd_eval(args) -> int:
     if not pairs:
         raise ConfigError("nothing to evaluate: supply at least one prediction/target pair")
     _eval_stage(pairs, cfg, out)
-    return 0
 
 
-def cmd_trace(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_trace(args, cfg: RunConfig, out: Path) -> None:
     kernel = KernelGrid(args.kernel_size)
     levels = args.levels if args.levels is not None else (len(args.offsets) or 3)
     if levels < 1:
@@ -265,26 +237,18 @@ def cmd_trace(args) -> int:
         if len(strides) == 1:
             strides = strides[0]
     k2 = kernel.k * kernel.k
-    stack = []
-    if args.offsets:
-        for path in args.offsets:
-            blob = fileio.read_embf(path)
-            if blob.shape[2] != 2 * k2:
-                raise ConfigError(
-                    f"{path}: offset blob depth {blob.shape[2]} != 2*k*k = {2 * k2}"
-                )
-            stack.append(OffsetField(blob.reshape(blob.shape[0], blob.shape[1], k2, 2)))
-    else:
-        stack = [None] * levels
+    stack = [None] * levels
+    for i, path in enumerate(args.offsets):
+        blob = fileio.read_embf(path)
+        if blob.shape[2] != 2 * k2:
+            raise ConfigError(f"{path}: offset blob depth {blob.shape[2]} != 2*k*k = {2 * k2}")
+        stack[i] = OffsetField(blob.reshape(blob.shape[0], blob.shape[1], k2, 2))
     trace = trace_receptive_field(stack, kernel, tuple(args.origin), strides)
     fileio.write_trace_csv(out / "trace.csv", trace)
     log.info("traced %d leaf points", trace.points.shape[0])
-    return 0
 
 
-def cmd_pipeline(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_pipeline(args, cfg: RunConfig, out: Path) -> None:
     scene = _gen_stage(cfg, out)
     _optimize_stage(scene.labels, cfg, out)
     # Cluster and score the files just written, exactly what the staged commands read.
@@ -296,7 +260,6 @@ def cmd_pipeline(args) -> int:
         "detection": (out / "pred_boxes.json", out / "boxes.json"),
     }
     _eval_stage(pairs, cfg, out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,14 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="compute metrics from prediction/target files")
     common(p, seed=False)
-    p.add_argument("--pred-drivable")
-    p.add_argument("--gt-drivable")
-    p.add_argument("--pred-lanes")
-    p.add_argument("--gt-lanes")
-    p.add_argument("--pred-instances")
-    p.add_argument("--gt-labels")
-    p.add_argument("--pred-boxes")
-    p.add_argument("--gt-boxes")
+    for pred_flag, gt_flag, _, _ in _EVAL_TASKS.values():
+        p.add_argument("--" + pred_flag.replace("_", "-"))
+        p.add_argument("--" + gt_flag.replace("_", "-"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("trace", help="trace a receptive field through stacked layers")
@@ -375,7 +333,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_run_config(args.config) if args.config else default_run_config()
+        if getattr(args, "seed", None) is not None:
+            cfg = override_seed(cfg, args.seed)
+        out = args.out or cfg.output_dir
+        if not out:
+            raise ConfigError("no output directory: pass --out or set output_dir")
+        out = Path(out)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, cfg, out)
+        return 0
     except (NonFiniteLoss, DegenerateVector, DegenerateShift) as exc:
         log.error("numerical failure: %s", exc)
         return 4

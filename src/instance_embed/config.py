@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from .clustering import VmfConfig
 from .errors import ConfigError
 from .fileio import read_json
 from .losses import DiscriminativeConfig
+from .metrics import _is_int
 from .optimize import OptimizerConfig
 from .scenes import SceneConfig
 
@@ -31,7 +30,7 @@ class MetricsConfig:
 
     def __post_init__(self):
         for c in self.classes:
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            if not _is_int(c):
                 raise ValueError(f"classes entries must be integers, got {c!r}")
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
         if not self.classes:

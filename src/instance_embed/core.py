@@ -22,9 +22,10 @@ def _freeze(values: np.ndarray, dtype) -> np.ndarray:
     return arr
 
 
-def _check_plane(values: np.ndarray, what: str) -> None:
-    if values.ndim < 2:
-        raise ValueError(f"{what} needs a (height, width, ...) array, got ndim {values.ndim}")
+def _check_plane(values: np.ndarray, what: str, *axes: str) -> None:
+    """Require exactly the named axes, led by a plane of height and width >= 1."""
+    if values.ndim != len(axes):
+        raise ValueError(f"{what} values must be ({', '.join(axes)}), got ndim {values.ndim}")
     h, w = values.shape[:2]
     if h < 1 or w < 1:
         raise ValueError(f"{what} needs height >= 1 and width >= 1, got {h}x{w}")
@@ -50,9 +51,7 @@ class Grid2D(_Plane):
 
     def __post_init__(self):
         arr = np.asarray(self.values)
-        if arr.ndim != 2:
-            raise ValueError(f"Grid2D values must be 2-dimensional, got ndim {arr.ndim}")
-        _check_plane(arr, "Grid2D")
+        _check_plane(arr, "Grid2D", "H", "W")
         object.__setattr__(self, "values", _freeze(arr, arr.dtype))
 
 
@@ -64,9 +63,7 @@ class EmbeddingField(_Plane):
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError(f"EmbeddingField values must be (H, W, D), got ndim {arr.ndim}")
-        _check_plane(arr, "EmbeddingField")
+        _check_plane(arr, "EmbeddingField", "H", "W", "D")
         if arr.shape[2] < 1:
             raise ValueError("embedding dimension must be >= 1")
         if not np.all(np.isfinite(arr)):
@@ -92,9 +89,7 @@ class LabelMap(_Plane):
 
     def __post_init__(self):
         arr = np.asarray(self.values)
-        if arr.ndim != 2:
-            raise ValueError(f"LabelMap values must be (H, W), got ndim {arr.ndim}")
-        _check_plane(arr, "LabelMap")
+        _check_plane(arr, "LabelMap", "H", "W")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("LabelMap values must be integers")
         if arr.min() < 0:
@@ -119,9 +114,7 @@ class BinaryMask(_Plane):
 
     def __post_init__(self):
         arr = np.asarray(self.values)
-        if arr.ndim != 2:
-            raise ValueError(f"BinaryMask values must be (H, W), got ndim {arr.ndim}")
-        _check_plane(arr, "BinaryMask")
+        _check_plane(arr, "BinaryMask", "H", "W")
         if not np.issubdtype(arr.dtype, np.integer) and arr.dtype != np.bool_:
             raise ValueError("BinaryMask values must be integers or booleans")
         arr = arr.astype(np.uint8)

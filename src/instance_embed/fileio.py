@@ -171,10 +171,10 @@ def read_boxes(path) -> list:
     for i, entry in enumerate(obj):
         try:
             dets = tuple(
-                Detection(tuple(d["box"]), int(d["class_id"]), d.get("score"))
+                Detection(tuple(d["box"]), d["class_id"], d.get("score"))
                 for d in entry["detections"]
             )
-            sets.append(DetectionSet(dets, image_id=int(entry.get("image_id", 0))))
+            sets.append(DetectionSet(dets, image_id=entry.get("image_id", 0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: detection set {i} is malformed: {exc}") from exc
     return sets

@@ -25,6 +25,11 @@ from .errors import NoGroundTruth
 MAP_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; a bool is not an id."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Detection:
     """One scored, class-labeled box; ground truth carries no score."""
@@ -39,6 +44,11 @@ class Detection:
             raise ValueError(f"box corners must be ordered, got {self.box}")
         if not all(math.isfinite(v) for v in self.box):
             raise ValueError(f"box coordinates must be finite, got {self.box}")
+        if not _is_int(self.class_id):
+            raise ValueError(f"class_id must be an integer, got {self.class_id!r}")
+        object.__setattr__(self, "class_id", int(self.class_id))
+        if isinstance(self.score, bool):
+            raise ValueError(f"score must be a number, got {self.score!r}")
         if self.score is not None and not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
         object.__setattr__(self, "box", tuple(float(v) for v in self.box))
@@ -52,6 +62,9 @@ class DetectionSet:
     image_id: int = 0
 
     def __post_init__(self):
+        if not _is_int(self.image_id):
+            raise ValueError(f"image_id must be an integer, got {self.image_id!r}")
+        object.__setattr__(self, "image_id", int(self.image_id))
         object.__setattr__(self, "detections", tuple(self.detections))
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelMap
+from .core import LabelMap, _Plane, _check_plane, _freeze
 from .errors import OriginOnBackground
 
 
@@ -32,13 +32,11 @@ class KernelGrid:
         r = (self.k - 1) // 2
         span = np.arange(-r, r + 1)
         dy, dx = np.meshgrid(span, span, indexing="ij")
-        out = np.stack([dy.ravel(), dx.ravel()], axis=1).astype(np.float64)
-        out.setflags(write=False)
-        return out
+        return _freeze(np.stack([dy.ravel(), dx.ravel()], axis=1), np.float64)
 
 
 @dataclass(frozen=True)
-class OffsetField:
+class OffsetField(_Plane):
     """Per-output-pixel (dy, dx) displacement for each kernel tap.
 
     values has shape (H, W, k*k, 2).
@@ -47,22 +45,13 @@ class OffsetField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 4 or arr.shape[3] != 2:
-            raise ValueError(f"offset values must be (H, W, k*k, 2), got {arr.shape}")
+        arr = np.asarray(self.values, dtype=np.float64)
+        _check_plane(arr, "OffsetField", "H", "W", "k*k", "2")
+        if arr.shape[3] != 2:
+            raise ValueError(f"OffsetField values must be (H, W, k*k, 2), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("offsets must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+        object.__setattr__(self, "values", _freeze(arr, np.float64))
 
     @property
     def taps(self) -> int:
@@ -196,10 +185,8 @@ def trace_receptive_field(
             planes = field.values.reshape(field.height, field.width, k2 * 2)
             off = _bilinear_planes(planes, pts[:, 0], pts[:, 1]).reshape(n, k2, 2)
         children = stride * pts[:, None, :] + taps[None, :, :] + off
-        pts = children.reshape(n * k2, 2)
-        per_level.append(pts.copy())
-    for arr in per_level:
-        arr.setflags(write=False)
+        pts = _freeze(children.reshape(n * k2, 2), np.float64)
+        per_level.append(pts)
     return ReceptiveTrace(levels, (float(origin[0]), float(origin[1])), tuple(per_level))
 
 

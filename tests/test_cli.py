@@ -291,6 +291,18 @@ class TestEval:
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["instance_segmentation"]["map50"] == 1.0
 
+    def test_non_integer_class_id_exits_2(self, tmp_path, caplog):
+        scene = tmp_path / "scene"
+        main(["gen", "--out", str(scene), "--seed", "1"])
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps(
+            [{"image_id": 0, "detections": [{"box": [0, 0, 4, 4], "class_id": 0.7, "score": 1.0}]}]
+        ))
+        rc = main(["eval", "--pred-boxes", str(preds), "--gt-boxes", str(scene / "boxes.json"),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert f"{preds}: detection set 0 is malformed" in caplog.text
+
     def test_nothing_to_evaluate_exits_2(self, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "ev")]) == 2
 
@@ -526,9 +538,23 @@ class TestErrorPaths:
         p.write_text("{not json")
         assert main(["gen", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen"],
+            ["optimize", "--labels", "labels.pgm"],
+            ["cluster", "--embeddings", "e.embf", "--mask", "m.pgm"],
+            ["eval", "--pred-drivable", "p.pgm", "--gt-drivable", "g.pgm"],
+            ["trace", "--origin", "0", "0"],
+            ["pipeline"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, argv):
         cfg = _write_config(tmp_path, {"loss": {"delta": 1}})
-        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unwritable_output_exits_3(self, tmp_path):
         blocker = tmp_path / "file"

@@ -8,6 +8,7 @@ from instance_embed import (
     EmbeddingField,
     Grid2D,
     LabelMap,
+    OffsetField,
     relabel_contiguous,
     validate_pair,
 )
@@ -111,8 +112,13 @@ class TestMasks:
             EmbeddingField(np.zeros((3, 4, 2))),
             LabelMap(np.zeros((3, 4), dtype=np.int64)),
             BinaryMask(np.zeros((3, 4), dtype=np.uint8)),
+            OffsetField(np.zeros((3, 4, 9, 2))),
         ]
-        assert [(p.height, p.width) for p in planes] == [(3, 4)] * 4
+        assert [(p.height, p.width) for p in planes] == [(3, 4)] * 5
+
+    def test_offset_field_rejects_zero_height(self):
+        with pytest.raises(ValueError, match="OffsetField needs height >= 1 and width >= 1, got 0x3"):
+            OffsetField(np.zeros((0, 3, 9, 2)))
 
 
 class TestValidatePair:

@@ -155,10 +155,23 @@ class TestBoxes:
         assert back[0].detections[1].score is None
         assert back[0].detections[1].class_id == 1
 
-    def test_missing_fields_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "image_id, det",
+        [
+            (0, {"box": [0, 0, 1, 1]}),
+            (0, {"box": [0, 0, 1, 1], "class_id": 0.7}),
+            (0, {"box": [0, 0, 1, 1], "class_id": "0"}),
+            (0, {"box": [0, 0, 1, 1], "class_id": True}),
+            (0, {"box": [0, 0, 1, 1], "class_id": 0, "score": True}),
+            (1.9, {"box": [0, 0, 1, 1], "class_id": 0}),
+        ],
+        ids=["missing_class_id", "fractional_class_id", "string_class_id", "bool_class_id",
+             "bool_score", "fractional_image_id"],
+    )
+    def test_missing_fields_rejected(self, tmp_path, image_id, det):
         p = tmp_path / "boxes.json"
-        p.write_text(json.dumps([{"image_id": 0, "detections": [{"box": [0, 0, 1, 1]}]}]))
-        with pytest.raises(FormatError):
+        p.write_text(json.dumps([{"image_id": image_id, "detections": [det]}]))
+        with pytest.raises(FormatError, match="detection set 0 is malformed"):
             fileio.read_boxes(p)
 
 
