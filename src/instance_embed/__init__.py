@@ -12,7 +12,6 @@ from .core import (
     EmbeddingField,
     Grid2D,
     LabelMap,
-    relabel_contiguous,
     validate_pair,
 )
 from .errors import (
@@ -32,7 +31,6 @@ from .errors import (
 from .losses import (
     DiscriminativeConfig,
     LossBreakdown,
-    cluster_means,
     discriminative_grad,
     discriminative_loss,
     finite_diff_grad,
@@ -98,7 +96,6 @@ __all__ = [
     "EmbeddingField",
     "Grid2D",
     "LabelMap",
-    "relabel_contiguous",
     "validate_pair",
     "ConfigError",
     "DegenerateShift",
@@ -114,7 +111,6 @@ __all__ = [
     "OriginOnBackground",
     "DiscriminativeConfig",
     "LossBreakdown",
-    "cluster_means",
     "discriminative_grad",
     "discriminative_loss",
     "finite_diff_grad",

@@ -1,4 +1,4 @@
-"""Command-line pipeline: gen, optimize, cluster, eval, trace, pipeline.
+"""Command-line pipeline: gen, optimize, cluster, eval, pipeline.
 
 Every command is deterministic given its config and inputs; rerunning with
 the same arguments produces byte-identical files. Exit codes are a stable
@@ -50,7 +50,6 @@ from .metrics import (
     seg_iou_undefined,
 )
 from .optimize import optimize_embeddings
-from .sampling import KernelGrid, OffsetField, trace_receptive_field
 from .scenes import Scene, gen_scene
 
 log = logging.getLogger("instance_embed")
@@ -122,7 +121,7 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
         },
     )
     if search.unconverged_seeds:
-        seeds = len(range(0, mask.count(), cfg.cluster.seed_stride))
+        seeds = int(search.basin_seeds.sum()) + search.dropped_seeds
         log.warning(
             "%d of %d mean-shift seeds (%.1f%%) still moving after %d passes",
             search.unconverged_seeds, seeds, 100.0 * search.unconverged_seeds / seeds,
@@ -220,34 +219,6 @@ def cmd_eval(args, cfg: RunConfig, out: Path) -> None:
     _eval_stage(pairs, cfg, out)
 
 
-def cmd_trace(args, cfg: RunConfig, out: Path) -> None:
-    kernel = KernelGrid(args.kernel_size)
-    levels = args.levels if args.levels is not None else (len(args.offsets) or 3)
-    if levels < 1:
-        raise ConfigError(f"levels must be >= 1, got {levels}")
-    if args.offsets and len(args.offsets) != levels:
-        raise ConfigError(f"got {len(args.offsets)} offset files for {levels} levels")
-    if args.strides is None:
-        strides = 1
-    else:
-        try:
-            strides = [int(tok) for tok in args.strides.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad --strides value {args.strides!r}") from exc
-        if len(strides) == 1:
-            strides = strides[0]
-    k2 = kernel.k * kernel.k
-    stack = [None] * levels
-    for i, path in enumerate(args.offsets):
-        blob = fileio.read_embf(path)
-        if blob.shape[2] != 2 * k2:
-            raise ConfigError(f"{path}: offset blob depth {blob.shape[2]} != 2*k*k = {2 * k2}")
-        stack[i] = OffsetField(blob.reshape(blob.shape[0], blob.shape[1], k2, 2))
-    trace = trace_receptive_field(stack, kernel, tuple(args.origin), strides)
-    fileio.write_trace_csv(out / "trace.csv", trace)
-    log.info("traced %d leaf points", trace.points.shape[0])
-
-
 def cmd_pipeline(args, cfg: RunConfig, out: Path) -> None:
     scene = _gen_stage(cfg, out)
     _optimize_stage(scene.labels, cfg, out)
@@ -296,20 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + pred_flag.replace("_", "-"))
         p.add_argument("--" + gt_flag.replace("_", "-"))
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("trace", help="trace a receptive field through stacked layers")
-    common(p, seed=False)
-    p.add_argument("--origin", type=int, nargs=2, required=True, metavar=("Y", "X"))
-    p.add_argument("--kernel-size", type=int, default=3)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--strides", default=None, help="comma-separated per-level strides")
-    p.add_argument(
-        "--offsets",
-        action="append",
-        default=[],
-        help="EMBF offset blob per level, top layer first (repeatable)",
-    )
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("pipeline", help="gen, optimize, cluster and eval on the files they write")
     common(p)

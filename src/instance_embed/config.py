@@ -7,6 +7,7 @@ The embedding dimension rides in the optimizer section as "dim".
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .clustering import VmfConfig
@@ -61,10 +62,13 @@ _SECTION_TYPES = {
 }
 
 # Accepted JSON values per field type; every config module postpones
-# annotations, so a field's type is its name as a string.
+# annotations, so a field's type is its name as a string. Ints must fit
+# int64 and floats must be finite doubles, so no huge JSON integer overflows.
 _TYPE_CHECKS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63,
+    "float": lambda v: (
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    ),
     "str": lambda v: isinstance(v, str),
     "tuple[int, ...]": lambda v: (
         isinstance(v, (list, tuple)) and all(_TYPE_CHECKS["int"](c) for c in v)
@@ -107,7 +111,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     dim = DEFAULT_EMBEDDING_DIM
     if "dim" in section_docs["optimizer"]:
         dim = section_docs["optimizer"].pop("dim")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        if not _TYPE_CHECKS["int"](dim) or dim < 1:
             raise ConfigError(f"optimizer.dim must be a positive integer, got {dim!r}")
 
     sections = {

@@ -80,8 +80,8 @@ class LabelMap(_Plane):
     """H x W grid of non-negative integer instance IDs; 0 is background.
 
     Construction accepts any non-negative IDs. num_instances counts the
-    distinct non-zero IDs actually present; use relabel_contiguous to force
-    the canonical {1..C} numbering that the loss and metric operations expect.
+    distinct non-zero IDs actually present; the loss and metric operations
+    expect the canonical {1..C} numbering.
     """
 
     values: np.ndarray
@@ -98,12 +98,6 @@ class LabelMap(_Plane):
         object.__setattr__(self, "values", frozen)
         distinct = np.unique(frozen)
         object.__setattr__(self, "num_instances", int((distinct > 0).sum()))
-
-    def is_contiguous(self) -> bool:
-        """True when the non-zero IDs are exactly {1..num_instances}."""
-        ids = np.unique(self.values)
-        ids = ids[ids > 0]
-        return ids.size == 0 or (ids[0] == 1 and ids[-1] == ids.size)
 
 
 @dataclass(frozen=True)
@@ -135,15 +129,3 @@ def validate_pair(a, b) -> None:
     shape_b = (b.height, b.width)
     if shape_a != shape_b:
         raise DimensionMismatch(shape_a, shape_b)
-
-
-def relabel_contiguous(labels: LabelMap) -> LabelMap:
-    """Remap non-zero IDs to {1..C} preserving order and pixel partition."""
-    if labels.is_contiguous():
-        return labels
-    arr = labels.values
-    ids = np.unique(arr)
-    ids = ids[ids > 0]
-    lut = np.zeros(int(ids[-1]) + 1, dtype=np.int64)
-    lut[ids] = np.arange(1, ids.size + 1)
-    return LabelMap(lut[arr])

@@ -1,4 +1,4 @@
-"""File formats: binary PGM images, embedding-field blobs, JSON, and CSV.
+"""File formats: binary PGM images, embedding-field blobs, and JSON.
 
 Everything here is writable and readable with the standard library alone.
 Writers are deterministic: the same value always produces the same bytes.
@@ -9,12 +9,9 @@ Formats
                 raw IDs (0 = background), which caps IDs at 255.
   embeddings    "EMBF" blob: 4-byte magic, then u32 height, width, depth
                 (little endian), then height*width*depth float32 values in
-                row-major order. Also used for offset fields (depth = 2*k*k,
-                dy/dx interleaved per tap).
+                row-major order.
   boxes/modes/  JSON with sorted keys and 2-space indentation.
   trace/metrics
-  trace points  CSV with header level,y,x; one row per sampling location,
-                level counting down to 1 at the input grid.
 """
 from __future__ import annotations
 
@@ -28,7 +25,6 @@ import numpy as np
 from .core import BinaryMask, LabelMap
 from .errors import FormatError
 from .metrics import Detection, DetectionSet
-from .sampling import ReceptiveTrace
 
 _EMBF_MAGIC = b"EMBF"
 MAX_LABEL = 255  # largest ID a label or instance PGM can hold
@@ -144,9 +140,11 @@ def read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply to parse") from exc
 
 
-def detection_sets_to_obj(sets: Sequence[DetectionSet]) -> list:
+def write_boxes(path, sets: Sequence[DetectionSet]) -> None:
     out = []
     for ds in sets:
         dets = []
@@ -156,11 +154,7 @@ def detection_sets_to_obj(sets: Sequence[DetectionSet]) -> list:
                 item["score"] = det.score
             dets.append(item)
         out.append({"image_id": ds.image_id, "detections": dets})
-    return out
-
-
-def write_boxes(path, sets: Sequence[DetectionSet]) -> None:
-    write_json(path, detection_sets_to_obj(sets))
+    write_json(path, out)
 
 
 def read_boxes(path) -> list:
@@ -178,13 +172,3 @@ def read_boxes(path) -> list:
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: detection set {i} is malformed: {exc}") from exc
     return sets
-
-
-def write_trace_csv(path, trace: ReceptiveTrace) -> None:
-    """One row per sampling location, top level first, leaves at level 1."""
-    lines = ["level,y,x"]
-    for i, pts in enumerate(trace.per_level):
-        level = trace.levels - i
-        for y, x in pts:
-            lines.append(f"{level},{float(y)!r},{float(x)!r}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))

@@ -208,13 +208,6 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     return bd, hd
 
 
-def cluster_means(emb: EmbeddingField, labels: LabelMap) -> np.ndarray:
-    """Arithmetic mean embedding of each instance, shaped (C, D)."""
-    validate_pair(emb, labels)
-    plan = _plan_labels(labels.values, emb.dim)
-    return _segment_sum(plan, _gather(emb.values, plan)) / plan.counts[:, None]
-
-
 def discriminative_loss(
     emb: EmbeddingField, labels: LabelMap, cfg: DiscriminativeConfig
 ) -> LossBreakdown:

@@ -12,7 +12,7 @@ right and integrated over recall.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,7 +42,7 @@ class Detection:
         x1, y1, x2, y2 = self.box
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"box corners must be ordered, got {self.box}")
-        if not all(math.isfinite(v) for v in self.box):
+        if not all(abs(v) <= sys.float_info.max for v in self.box):
             raise ValueError(f"box coordinates must be finite, got {self.box}")
         if not _is_int(self.class_id):
             raise ValueError(f"class_id must be an integer, got {self.class_id!r}")

@@ -303,6 +303,19 @@ class TestEval:
         assert rc == 2
         assert f"{preds}: detection set 0 is malformed" in caplog.text
 
+    def test_huge_box_coordinate_exits_2(self, tmp_path, caplog):
+        scene = tmp_path / "scene"
+        main(["gen", "--out", str(scene), "--seed", "1"])
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps(
+            [{"image_id": 0, "detections": [
+                {"box": [0, 0, 4, int("9" * 400)], "class_id": 0, "score": 1.0}]}]
+        ))
+        rc = main(["eval", "--pred-boxes", str(preds), "--gt-boxes", str(scene / "boxes.json"),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert f"{preds}: detection set 0 is malformed" in caplog.text
+
     def test_nothing_to_evaluate_exits_2(self, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "ev")]) == 2
 
@@ -325,51 +338,6 @@ class TestEval:
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["drivable_segmentation"]["iou"] == 1.0
         assert "iou_empty_vs_empty" in doc["drivable_segmentation"]["flags"]
-
-
-class TestTrace:
-    def test_zero_offset_trace(self, tmp_path):
-        out = tmp_path / "tr"
-        rc = main(["trace", "--origin", "5", "5", "--levels", "2", "--out", str(out)])
-        assert rc == 0
-        lines = (out / "trace.csv").read_text().splitlines()
-        assert lines[0] == "level,y,x"
-        assert len(lines) == 1 + 9 + 81
-
-    def test_offset_files_set_level_count(self, tmp_path):
-        blob = np.zeros((12, 12, 18))
-        fileio.write_embf(tmp_path / "o1.embf", blob)
-        fileio.write_embf(tmp_path / "o2.embf", blob)
-        out = tmp_path / "tr"
-        rc = main(["trace", "--origin", "6", "6",
-                   "--offsets", str(tmp_path / "o1.embf"),
-                   "--offsets", str(tmp_path / "o2.embf"), "--out", str(out)])
-        assert rc == 0
-        lines = (out / "trace.csv").read_text().splitlines()
-        assert len(lines) == 1 + 9 + 81
-
-    def test_wrong_offset_depth_exits_2(self, tmp_path):
-        fileio.write_embf(tmp_path / "bad.embf", np.zeros((12, 12, 7)))
-        rc = main(["trace", "--origin", "6", "6",
-                   "--offsets", str(tmp_path / "bad.embf"),
-                   "--out", str(tmp_path / "tr")])
-        assert rc == 2
-
-    def test_level_offset_mismatch_exits_2(self, tmp_path):
-        fileio.write_embf(tmp_path / "o1.embf", np.zeros((12, 12, 18)))
-        rc = main(["trace", "--origin", "6", "6", "--levels", "3",
-                   "--offsets", str(tmp_path / "o1.embf"),
-                   "--out", str(tmp_path / "tr")])
-        assert rc == 2
-
-    def test_strides_parsed(self, tmp_path):
-        out = tmp_path / "tr"
-        rc = main(["trace", "--origin", "3", "3", "--levels", "2",
-                   "--strides", "2,1", "--out", str(out)])
-        assert rc == 0
-        rc = main(["trace", "--origin", "3", "3", "--levels", "2",
-                   "--strides", "2,x", "--out", str(out)])
-        assert rc == 2
 
 
 class TestPipeline:
@@ -545,7 +513,6 @@ class TestErrorPaths:
             ["optimize", "--labels", "labels.pgm"],
             ["cluster", "--embeddings", "e.embf", "--mask", "m.pgm"],
             ["eval", "--pred-drivable", "p.pgm", "--gt-drivable", "g.pgm"],
-            ["trace", "--origin", "0", "0"],
             ["pipeline"],
         ],
         ids=lambda argv: argv[0],
@@ -555,6 +522,12 @@ class TestErrorPaths:
         out = tmp_path / "x"
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("loss", "alpha"), ("scene", "width")])
+    def test_huge_json_integer_exits_2(self, tmp_path, caplog, section, key):
+        cfg = _write_config(tmp_path, {section: {key: int("9" * 400)}})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"{section}.{key}: expected" in caplog.text
 
     def test_unwritable_output_exits_3(self, tmp_path):
         blocker = tmp_path / "file"

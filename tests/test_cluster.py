@@ -450,6 +450,8 @@ class TestSeedCollapse:
             )
             np.testing.assert_array_equal(got.basin_seeds, basin)
             assert got.dropped_seeds == dropped
+            # every strided seed ends in exactly one basin or is dropped
+            assert int(got.basin_seeds.sum()) + got.dropped_seeds == len(x[:: cfg.seed_stride])
 
     def test_fold_is_greedy_leader_scan(self):
         # rows 0.004 rad apart with a 0.01 rad fold: each kept row takes the

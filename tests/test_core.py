@@ -1,4 +1,4 @@
-"""Container validation and label-map normalization."""
+"""Container validation."""
 import numpy as np
 import pytest
 
@@ -9,7 +9,6 @@ from instance_embed import (
     Grid2D,
     LabelMap,
     OffsetField,
-    relabel_contiguous,
     validate_pair,
 )
 
@@ -50,17 +49,13 @@ class TestLabelMap:
         assert m.num_instances == 2
 
     def test_gap_ids_allowed_but_not_contiguous(self):
+        # construction keeps the IDs as given; nothing renumbers them 1..C
         m = LabelMap(np.array([[0, 1], [3, 3]]))
-        assert not m.is_contiguous()
-
-    def test_contiguous(self):
-        m = LabelMap(np.array([[0, 1], [2, 2]]))
-        assert m.is_contiguous()
+        np.testing.assert_array_equal(m.values, [[0, 1], [3, 3]])
 
     def test_all_background_contiguous(self):
         m = LabelMap(np.zeros((3, 3), dtype=np.int64))
         assert m.num_instances == 0
-        assert m.is_contiguous()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -69,26 +64,6 @@ class TestLabelMap:
     def test_rejects_float(self):
         with pytest.raises(ValueError):
             LabelMap(np.array([[0.0, 1.0]]))
-
-
-class TestRelabelContiguous:
-    def test_closes_gaps_in_order(self):
-        m = LabelMap(np.array([[0, 5], [2, 9]]))
-        out = relabel_contiguous(m)
-        assert out.is_contiguous()
-        # ascending original IDs keep their relative order
-        assert out.values[1, 0] == 1  # id 2 -> 1
-        assert out.values[0, 1] == 2  # id 5 -> 2
-        assert out.values[1, 1] == 3  # id 9 -> 3
-
-    def test_identity_when_contiguous(self):
-        m = LabelMap(np.array([[0, 1], [2, 2]]))
-        assert relabel_contiguous(m) is m
-
-    def test_background_preserved(self):
-        m = LabelMap(np.array([[0, 7]]))
-        out = relabel_contiguous(m)
-        assert out.values[0, 0] == 0 and out.values[0, 1] == 1
 
 
 class TestMasks:

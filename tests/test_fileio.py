@@ -7,7 +7,6 @@ import pytest
 from instance_embed import BinaryMask, FormatError, LabelMap
 from instance_embed import fileio
 from instance_embed.metrics import Detection, DetectionSet
-from instance_embed.sampling import KernelGrid, trace_receptive_field
 
 
 class TestPgm:
@@ -133,6 +132,12 @@ class TestJson:
             fileio.read_json(p)
         assert "line 1" in str(err.value)
 
+    def test_deep_nesting_is_a_format_error(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        with pytest.raises(FormatError, match="nested too deeply"):
+            fileio.read_json(p)
+
 
 class TestBoxes:
     def test_round_trip(self, tmp_path):
@@ -173,18 +178,3 @@ class TestBoxes:
         p.write_text(json.dumps([{"image_id": image_id, "detections": [det]}]))
         with pytest.raises(FormatError, match="detection set 0 is malformed"):
             fileio.read_boxes(p)
-
-
-class TestTraceCsv:
-    def test_layout_and_values(self, tmp_path):
-        trace = trace_receptive_field([None, None], KernelGrid(3), (4, 4), 1)
-        p = tmp_path / "t.csv"
-        fileio.write_trace_csv(p, trace)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "level,y,x"
-        assert len(lines) == 1 + 9 + 81
-        # first expansion rows carry the higher level number
-        assert lines[1].startswith("2,")
-        assert lines[10].startswith("1,")
-        level, y, x = lines[1].split(",")
-        assert float(y) == 3.0 and float(x) == 3.0

@@ -7,7 +7,6 @@ from instance_embed import (
     EmbeddingField,
     EmptyInstance,
     LabelMap,
-    cluster_means,
     discriminative_grad,
     discriminative_loss,
 )
@@ -138,15 +137,6 @@ class TestStructure:
         with pytest.raises(EmptyInstance) as err:
             discriminative_loss(emb, labels, DiscriminativeConfig())
         assert "2" in str(err.value)
-
-    def test_cluster_means_match_averages(self):
-        emb, labels = _random_case(3, c=3)
-        means = cluster_means(emb, labels)
-        for ident in (1, 2, 3):
-            sel = labels.values == ident
-            np.testing.assert_allclose(
-                means[ident - 1], emb.values[sel].mean(axis=0), rtol=1e-12
-            )
 
 
 def _layout(kind, rng, c, h=9, w=11):
