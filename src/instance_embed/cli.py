@@ -96,7 +96,7 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
 
 def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: Path) -> None:
     start = time.perf_counter()
-    result, search = cluster_field(emb, mask, cfg.cluster)
+    result, search = cluster_field(emb, mask, cfg.cluster, cfg.loss.delta_v)
     seconds = time.perf_counter() - start
     if result.num_clusters > fileio.MAX_LABEL:
         raise ConfigError(

@@ -1,19 +1,23 @@
-"""Mean-shift clustering of unit-norm embeddings on the hypersphere.
+"""Mean-shift clustering of lifted, unit-norm embeddings on the hypersphere.
 
-Each seed point is shifted toward the local mean direction under a
-von Mises-Fisher kernel until it stops moving; seed endpoints that agree in
-direction are merged into modes, and every foreground pixel is assigned to
-its angularly nearest mode. No cluster count is ever supplied: the number of
-recovered modes is purely a property of the data and the kernel width.
+Each embedding x is lifted to [x, r] / ||[x, r]|| before clustering, with r
+the loss's delta_v, so an instance whose mean lies near the origin maps near
+one pole rather than over the whole sphere. Each seed point is shifted
+toward the local mean direction under a von Mises-Fisher kernel until it
+stops moving; seed endpoints that agree in direction are merged into modes,
+and every foreground pixel is assigned to its angularly nearest mode. No
+cluster count is ever supplied: the number of recovered modes is purely a
+property of the data and the kernel width.
 
 All seeds are shifted together, one pass at a time. Between passes, seeds
 still moving within merge_tolerance / 10 of each other are folded into one
 row that carries their count, and only the kept rows are shifted further;
 every reported counter is in original seeds. Each block of rows is updated
-with two matrix products against [x | 1] and one exp: the weights are
-exp(kappa * (<x, y> - 1)), at most 1 for unit rows, and the product's last
-column is their total; the rare row whose total is not finite or vanishes
-is recomputed with its own largest dot subtracted.
+with two matrix products against [x | 1], zero-padded to a multiple of 32
+rows, and one exp: the weights are exp(kappa * (<x, y> - 1)), at most 1 for
+unit rows, and the product's last column is their total; the rare row whose
+total is not finite or vanishes is recomputed with its own largest dot
+subtracted.
 
 The merge is single linkage over the seed endpoints. It is found by a
 breadth-first search that expands a whole frontier at once, in blocks of
@@ -30,6 +34,7 @@ import numpy as np
 from . import _blas
 from .core import BinaryMask, EmbeddingField, Grid2D, _freeze, validate_pair
 from .errors import DegenerateShift, DegenerateVector, EmptyForeground
+from .losses import DiscriminativeConfig
 
 # Seeds are iterated, folded and merge frontiers expanded in fixed-size
 # blocks, which bounds the block x n dot, kernel-weight and angle matrices.
@@ -45,6 +50,10 @@ _TOTAL_FLOOR = 1e-100
 # 789 to 714 us, but its worker then spins for about 0.13 s of CPU; at
 # 11 648 points it takes 2 710 us to 2 247.
 _SERIAL_BLAS_POINTS = 4096
+# _augment pads the point operand to a multiple of this many rows. OpenBLAS
+# 0.3.31 gives mean shift's (64, n) @ (n, D+1) product the same bits at one
+# and two threads when n % 32 is 0, and at most others it does not.
+_PAD_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class ModeSearch:
 class ClusterResult:
     """Cluster modes plus the per-pixel assignment grid (-1 = background)."""
 
-    modes: np.ndarray  # (num_clusters, D)
+    modes: np.ndarray  # (num_clusters, D+1) from cluster_field: lifted unit rows
     assignment: Grid2D
     num_clusters: int
     basin_pixels: np.ndarray  # (num_clusters,) pixels assigned to each mode
@@ -120,31 +129,46 @@ class ClusterResult:
             raise ValueError("assignment indices must lie in {-1, 0..num_clusters-1}")
 
 
-def flatten_foreground(emb: EmbeddingField, mask: BinaryMask) -> np.ndarray:
-    """Stack the mask-1 embeddings, each scaled to unit norm, into (n, D).
+def flatten_foreground(
+    emb: EmbeddingField, mask: BinaryMask, lift: float = DiscriminativeConfig.delta_v
+) -> np.ndarray:
+    """Stack the mask-1 embeddings, lifted and scaled to unit norm, into (n, D+1).
 
-    Rows follow row-major pixel order, so row i belongs to the i-th mask-1
-    pixel, np.flatnonzero(mask.values)[i]. Background vectors are never
-    read. Raises EmptyForeground when the mask selects no pixel and
-    DegenerateVector when a selected vector has norm < 1e-12.
+    Row i is [v_i, lift] / ||[v_i, lift]|| for the i-th mask-1 pixel,
+    np.flatnonzero(mask.values)[i], in row-major pixel order. lift is in the
+    loss's units: pass the delta_v of the loss that made the field (the
+    default is DiscriminativeConfig's). The loss leaves an instance as a
+    ball of radius delta_v around its mean; with a mean near the origin the
+    plain directions of that ball cover the whole sphere, while the lifted
+    rows all lie near the pole. Background vectors are never read. Raises
+    EmptyForeground when the mask selects no pixel and DegenerateVector
+    when a selected vector has norm < 1e-12 before the lift.
     """
+    if not math.isfinite(lift) or lift < 0:
+        raise ValueError(f"lift must be finite and >= 0, got {lift}")
     validate_pair(emb, mask)
     sel = mask.values.ravel().astype(bool)
     if not sel.any():
         raise EmptyForeground("mask selects no pixels")
     x = emb.values.reshape(-1, emb.dim)[sel]
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    if norms.min() < 1e-12:
+    if np.sqrt(np.einsum("ij,ij->i", x, x).min()) < 1e-12:
         raise DegenerateVector("cannot normalize a vector with norm < 1e-12")
-    x /= norms[:, None]
+    x = np.hstack([x, np.full((x.shape[0], 1), lift)])
+    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
     return x
 
 
 def _augment(x_points: np.ndarray) -> np.ndarray:
-    """The (n, D+1) operand [x | 1] that _shift_rows multiplies against."""
-    a = np.empty((x_points.shape[0], x_points.shape[1] + 1))
-    a[:, :-1] = x_points
-    a[:, -1] = 1.0
+    """The operand [x | 1] that _shift_rows multiplies against.
+
+    Zero rows pad it to a multiple of _PAD_ROWS rows. They add nothing to a
+    weighted sum or to the total weight, and OpenBLAS then gives the
+    products the same bits at any thread count.
+    """
+    n = x_points.shape[0]
+    a = np.zeros((-(-n // _PAD_ROWS) * _PAD_ROWS, x_points.shape[1] + 1))
+    a[:n, :-1] = x_points
+    a[:n, -1] = 1.0
     return a
 
 
@@ -159,8 +183,10 @@ def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
     finite or below _TOTAL_FLOOR (kappa*(1 - max dot) above about 230, or
     rows that are not unit vectors) is computed again on its own with its
     largest dot subtracted inside the exponential, which rescales sum and
-    total alike; the floor also keeps the squared norm of a sum that is not
-    degenerate clear of float64 underflow.
+    total alike. It reads only the real rows of a: a pad row's dot of 0
+    would be the largest whenever every real dot is negative. The floor
+    also keeps the squared norm of a sum that is not degenerate clear of
+    float64 underflow.
 
     Returns (new, bad): the renormalized weighted means, and the rows whose
     weighted sum has near-zero norm relative to the total weight (exactly
@@ -178,11 +204,12 @@ def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
         np.exp(w, out=w)
         s = w @ a
     for r in np.flatnonzero(~(np.isfinite(s[:, d]) & (s[:, d] >= _TOTAL_FLOOR))):
-        wr = a[:, :d] @ cur[r]
+        real = a[: np.count_nonzero(a[:, d])]  # without _augment's zero pad
+        wr = real[:, :d] @ cur[r]
         wr -= wr.max()
         wr *= kappa
         np.exp(wr, out=wr)
-        s[r] = wr @ a
+        s[r] = wr @ real
     s, total = s[:, :d], s[:, d]
     norms = np.sqrt(np.einsum("ij,ij->i", s, s))
     bad = norms < 1e-12 * total
@@ -391,14 +418,20 @@ def assign_to_modes(
 
 
 def cluster_field(
-    emb: EmbeddingField, mask: BinaryMask, cfg: VmfConfig
+    emb: EmbeddingField,
+    mask: BinaryMask,
+    cfg: VmfConfig,
+    lift: float = DiscriminativeConfig.delta_v,
 ) -> tuple[ClusterResult, ModeSearch]:
     """flatten_foreground, mean_shift_modes, and assign_to_modes end to end.
 
-    Takes raw embeddings: flatten_foreground scales the mask-1 vectors to
-    unit norm. Returns the assignment and the mode search it came from,
-    whose seed counters the assignment does not carry.
+    Takes raw embeddings: flatten_foreground lifts the mask-1 vectors by
+    lift, the delta_v of the loss that made the field, and scales them to
+    unit norm, so the modes have D+1 coordinates. The result depends on the
+    field's scale, not only on its directions. Returns the assignment and
+    the mode search it came from, whose seed counters the assignment does
+    not carry.
     """
-    x_points = flatten_foreground(emb, mask)
+    x_points = flatten_foreground(emb, mask, lift)
     search = mean_shift_modes(x_points, cfg)
     return assign_to_modes(x_points, mask, search.modes, cfg), search

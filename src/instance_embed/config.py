@@ -19,6 +19,9 @@ from .optimize import OptimizerConfig
 from .scenes import SceneConfig
 
 DEFAULT_EMBEDDING_DIM = 8
+# Largest accepted optimizer.dim. The descent holds several (H, W, dim)
+# float64 arrays, so a larger dim runs out of memory or time before it helps.
+MAX_EMBEDDING_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,10 @@ def parse_run_config(doc: dict) -> RunConfig:
     dim = DEFAULT_EMBEDDING_DIM
     if "dim" in section_docs["optimizer"]:
         dim = section_docs["optimizer"].pop("dim")
-        if not _TYPE_CHECKS["int"](dim) or dim < 1:
-            raise ConfigError(f"optimizer.dim must be a positive integer, got {dim!r}")
+        if not _TYPE_CHECKS["int"](dim) or not 1 <= dim <= MAX_EMBEDDING_DIM:
+            raise ConfigError(
+                f"optimizer.dim must be an integer in [1, {MAX_EMBEDDING_DIM}], got {dim!r}"
+            )
 
     sections = {
         name: _build_section(name, cls, section_docs[name])

@@ -230,6 +230,34 @@ class TestCluster:
         assert "cluster.merge_tolerance" in caplog.text
         assert list(out.iterdir()) == []
 
+    def test_out_independent_of_blas_threads_above_the_gate(self, tmp_path):
+        from instance_embed import BinaryMask
+
+        # 4133 mask pixels: above the 4096-point gate, so mean shift runs on
+        # the caller's thread count, and 4133 % 32 == 5. Without the pad,
+        # OpenBLAS 0.3.31 rounds such products differently at one and two
+        # threads.
+        rng = np.random.default_rng(21)
+        centers = 2.0 * rng.standard_normal((3, 8))
+        v = centers[rng.integers(0, 3, (70, 64))] + 0.3 * rng.standard_normal((70, 64, 8))
+        mask = np.ones(70 * 64, dtype=np.uint8)
+        mask[rng.choice(mask.size, 70 * 64 - 4133, replace=False)] = 0
+        fileio.write_embf(tmp_path / "emb.embf", v)
+        fileio.write_mask(tmp_path / "mask.pgm", BinaryMask(mask.reshape(70, 64)))
+        cfg = _write_config(tmp_path, {"cluster": {"seed_stride": 5}})
+        for threads in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-m", "instance_embed.cli", "cluster", "--config", cfg,
+                 "--embeddings", str(tmp_path / "emb.embf"), "--mask", str(tmp_path / "mask.pgm"),
+                 "--out", str(tmp_path / threads)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert run.returncode == 0, run.stderr
+        names = ["instances.pgm", "modes.json", "pred_boxes.json"]
+        assert sorted(p.name for p in (tmp_path / "1").iterdir()) == names
+        assert json.loads((tmp_path / "1" / "modes.json").read_text())["num_clusters"] == 3
+        assert _dir_bytes(tmp_path / "1", names) == _dir_bytes(tmp_path / "2", names)
 
     @pytest.mark.parametrize("masked, code", [(True, 4), (False, 0)])
     def test_zero_vector_under_mask_exits_4_before_writing(self, tmp_path, masked, code):
@@ -367,6 +395,19 @@ class TestPipeline:
         assert main(["pipeline", "--config", cfg, "--out", str(b)]) == 0
         names = [p.name for p in a.iterdir()]
         assert _dir_bytes(a, names) == _dir_bytes(b, names)
+
+    def test_single_instance_default_config_finds_one_cluster(self, tmp_path):
+        # One instance leaves its mean near the origin. Without the lift its
+        # directions cover the whole sphere and mean shift finds dozens of
+        # clusters.
+        cfg = _write_config(tmp_path, {"scene": {"num_instances": 1}})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
+        modes = json.loads((out / "modes.json").read_text())
+        assert modes["num_clusters"] == 1
+        assert len(modes["modes"][0]) == 9  # dim 8 plus the lift
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["instance_segmentation"]["map50"] == 1.0
 
     @staticmethod
     def _run_in_subprocess(cfg, out, **env):

@@ -11,6 +11,7 @@ from instance_embed import (
     ClusterResult,
     DegenerateShift,
     DegenerateVector,
+    DiscriminativeConfig,
     EmbeddingField,
     EmptyForeground,
     Grid2D,
@@ -384,9 +385,9 @@ class TestBlasThreadPolicy:
         assert seen and set(seen) == {want}
         assert _threads() == 2
 
-    # Multiples of 64, as every benchmark scene's pixel count is:
-    # OpenBLAS 0.3.31 gives a (64, n) @ (n, 9) product the same bits at one
-    # and two threads only when n % 32 is 0 or 31.
+    # Multiples of 64, as every benchmark scene's pixel count is, so
+    # _augment adds no pad: OpenBLAS 0.3.31 gives a (64, n) @ (n, 9) product
+    # the same bits at one and two threads when n % 32 is 0.
     @pytest.mark.parametrize("n", [2944, 4992])
     def test_gate_leaves_mode_search_bits_unchanged(self, monkeypatch, n):
         x = _bundled_points(n, seed=n)
@@ -404,8 +405,7 @@ class TestBlasThreadPolicy:
                                        serial.passes, serial.row_updates)
 
     def test_result_below_the_gate_ignores_the_callers_count(self):
-        # 3000 % 32 == 24: at two threads these products would round
-        # differently, but below the gate every caller gets the one-thread bits.
+        # Below the gate every caller gets the one-thread bits.
         x = _bundled_points(3000, seed=4)
         cfg = VmfConfig(seed_stride=5, merge_tolerance=0.5)
         two = mean_shift_modes(x, cfg)
@@ -644,6 +644,12 @@ class TestAssignment:
         assert "6" in str(err.value) and "8" in str(err.value)
 
 
+def _lifted(v, lift):
+    """The contract of flatten_foreground for one raw vector: [v, lift], unit."""
+    row = np.append(v, lift)
+    return row / np.linalg.norm(row)
+
+
 class TestFlattenForeground:
     def test_row_major_order_and_index(self):
         rng = np.random.default_rng(0)
@@ -652,11 +658,11 @@ class TestFlattenForeground:
         emb = EmbeddingField(v)
         mask = np.zeros((3, 4), dtype=np.uint8)
         mask[0, 2] = mask[1, 0] = mask[2, 3] = 1
-        x = flatten_foreground(emb, BinaryMask(mask))
-        assert x.shape == (3, 2)
-        np.testing.assert_allclose(x[0], v[0, 2])
-        np.testing.assert_allclose(x[1], v[1, 0])
-        np.testing.assert_allclose(x[2], v[2, 3])
+        x = flatten_foreground(emb, BinaryMask(mask), 0.5)
+        assert x.shape == (3, 3)
+        np.testing.assert_allclose(x[0], _lifted(v[0, 2], 0.5))
+        np.testing.assert_allclose(x[1], _lifted(v[1, 0], 0.5))
+        np.testing.assert_allclose(x[2], _lifted(v[2, 3], 0.5))
 
     def test_empty_mask_raises(self):
         emb = EmbeddingField(np.ones((2, 2, 2)) / np.sqrt(2))
@@ -666,10 +672,33 @@ class TestFlattenForeground:
     def test_rows_are_unit_and_keep_direction(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((5, 6, 4)) * 3.0
-        x = flatten_foreground(EmbeddingField(v), _full_mask(5, 6))
+        x = flatten_foreground(EmbeddingField(v), _full_mask(5, 6), 0.5)
         np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
-        x = flatten_foreground(EmbeddingField(np.full((1, 1, 2), 3.0)), _full_mask(1, 1))
-        np.testing.assert_allclose(x[0], [1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-12)
+        want = np.stack([_lifted(row, 0.5) for row in v.reshape(-1, 4)])
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-12)
+        x = flatten_foreground(EmbeddingField(np.full((1, 1, 2), 3.0)), _full_mask(1, 1), 0.5)
+        np.testing.assert_allclose(x[0], np.array([3.0, 3.0, 0.5]) / np.sqrt(18.25), rtol=1e-12)
+
+    def test_default_lift_is_the_default_delta_v(self):
+        v = np.random.default_rng(1).standard_normal((3, 3, 2))
+        emb, mask = EmbeddingField(v), _full_mask(3, 3)
+        np.testing.assert_array_equal(
+            flatten_foreground(emb, mask),
+            flatten_foreground(emb, mask, DiscriminativeConfig().delta_v),
+        )
+
+    def test_zero_lift_keeps_plain_directions(self):
+        v = np.random.default_rng(2).standard_normal((2, 3, 4))
+        x = flatten_foreground(EmbeddingField(v), _full_mask(2, 3), 0.0)
+        rows = v.reshape(-1, 4)
+        np.testing.assert_allclose(x[:, :4], rows / np.linalg.norm(rows, axis=1)[:, None],
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(x[:, 4], 0.0)
+
+    @pytest.mark.parametrize("lift", [-0.5, float("nan"), float("inf")])
+    def test_bad_lift_rejected(self, lift):
+        with pytest.raises(ValueError):
+            flatten_foreground(EmbeddingField(np.ones((2, 2, 2))), _full_mask(2, 2), lift)
 
     def test_zero_vector_raises(self):
         v = np.ones((2, 2, 3))
@@ -682,16 +711,16 @@ class TestFlattenForeground:
         emb = EmbeddingField(np.full((2, 2, 2), 1e-13 / np.sqrt(2)))
         with pytest.raises(DegenerateVector):
             flatten_foreground(emb, _full_mask(2, 2))
-        x = flatten_foreground(EmbeddingField(np.full((2, 2, 2), 1e-11)), _full_mask(2, 2))
-        np.testing.assert_allclose(x, np.full((4, 2), 1 / np.sqrt(2)), rtol=1e-15)
+        x = flatten_foreground(EmbeddingField(np.full((2, 2, 2), 1e-11)), _full_mask(2, 2), 0.5)
+        np.testing.assert_allclose(x, np.tile(_lifted([1e-11, 1e-11], 0.5), (4, 1)), rtol=1e-15)
 
     def test_zero_vector_outside_mask_ignored(self):
         v = np.ones((2, 2, 3))
         v[0, 1] = 0.0
         mask = np.ones((2, 2), dtype=np.uint8)
         mask[0, 1] = 0
-        x = flatten_foreground(EmbeddingField(v), BinaryMask(mask))
-        np.testing.assert_allclose(x, np.full((3, 3), 1 / np.sqrt(3)), rtol=1e-15)
+        x = flatten_foreground(EmbeddingField(v), BinaryMask(mask), 0.5)
+        np.testing.assert_allclose(x, np.tile(_lifted(np.ones(3), 0.5), (3, 1)), rtol=1e-15)
 
 
 class TestClusterField:

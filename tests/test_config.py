@@ -14,6 +14,7 @@ from instance_embed import (
     parse_run_config,
 )
 from instance_embed.cli import main
+from instance_embed.config import MAX_EMBEDDING_DIM
 
 
 class TestDefaults:
@@ -106,6 +107,18 @@ class TestEmbeddingDim:
             parse_run_config({"optimizer": {"dim": 0}})
         with pytest.raises(ConfigError):
             parse_run_config({"optimizer": {"dim": 2.5}})
+
+    def test_dim_bounded(self, tmp_path, caplog):
+        cfg = parse_run_config({"optimizer": {"dim": MAX_EMBEDDING_DIM}})
+        assert cfg.embedding_dim == MAX_EMBEDDING_DIM == 256
+        with pytest.raises(ConfigError):
+            parse_run_config({"optimizer": {"dim": MAX_EMBEDDING_DIM + 1}})
+        # 2**40 dimensions would need 16 TiB for the descent's arrays
+        p = tmp_path / "run.json"
+        p.write_text('{"optimizer": {"dim": 1099511627776}}\n')
+        assert main(["pipeline", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "optimizer.dim must be an integer in [1, 256]" in caplog.text
+        assert not (tmp_path / "out").exists()
 
 
 class TestLoadAndOverride:

@@ -172,7 +172,7 @@ class TestStopping:
 
 
 class TestNormalizeField:
-    """The descent returns a raw field; clustering scales its rows to unit norm."""
+    """The descent returns a raw field; clustering lifts its rows to unit norm."""
 
     def _optimized(self):
         labels = _two_band_labels(8, 8)
@@ -191,9 +191,10 @@ class TestNormalizeField:
     def test_direction_preserved(self):
         emb, mask = self._optimized()
         before = emb.values.copy()
-        x = flatten_foreground(emb, mask)
+        x = flatten_foreground(emb, mask, 0.5)
         rows = before.reshape(-1, emb.dim)
+        lifted = np.hstack([rows, np.full((rows.shape[0], 1), 0.5)])
         np.testing.assert_allclose(
-            x * np.linalg.norm(rows, axis=1)[:, None], rows, rtol=1e-12, atol=0
+            x, lifted / np.linalg.norm(lifted, axis=1)[:, None], rtol=1e-12, atol=0
         )
         np.testing.assert_array_equal(emb.values, before)
