@@ -3,7 +3,8 @@
 Stands in for training an embedding head at desk scale: initialize every
 pixel's embedding uniformly at random, then run fixed-step gradient descent
 on the discriminative loss against a ground-truth label map. The field is
-returned as descended; clustering scales its foreground rows to unit norm.
+returned as descended; clustering lifts each foreground row x to [x, delta_v]
+and then scales it to unit norm.
 """
 from __future__ import annotations
 

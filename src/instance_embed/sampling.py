@@ -85,19 +85,6 @@ def _bilinear_planes(planes: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.n
     return out
 
 
-def bilinear_sample(grid: np.ndarray, y: float, x: float) -> float:
-    """Bilinearly interpolate a 2D grid at one fractional point.
-
-    The four surrounding integer pixels are blended; pixels outside the grid
-    count as zero, so fully out-of-bounds coordinates return 0.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 2:
-        raise ValueError(f"grid must be 2-dimensional, got ndim {grid.ndim}")
-    res = _bilinear_planes(grid[:, :, None], np.array([y]), np.array([x]))
-    return float(res[0, 0])
-
-
 def deformable_sample(
     grid: np.ndarray,
     kernel: KernelGrid,
@@ -130,52 +117,32 @@ def deformable_sample(
 class ReceptiveTrace:
     """All sampling locations reached from one output pixel.
 
-    per_level[i] holds the points produced by the i-th expansion, labeled
-    level L-i (so the last entry, level 1, are the k^(2L) leaf points at the
-    input grid).
+    points holds the k^(2L) leaf points at the input grid, read-only.
     """
 
-    levels: int
     origin: tuple
-    per_level: tuple
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.per_level[-1]
+    points: np.ndarray
 
 
 def trace_receptive_field(
     offset_stack: Sequence,
     kernel: KernelGrid,
     origin: tuple,
-    downsample=1,
 ) -> ReceptiveTrace:
-    """Expand one output pixel through L stacked deformable layers.
+    """Expand one output pixel through L stacked stride-1 deformable layers.
 
     offset_stack lists each layer's OffsetField from the top layer down; None
-    entries mean zero offsets. Each point p in a layer's output grid expands
-    into stride*p + tap + offset(p) for every tap, where offset(p) is the
-    layer's offset field bilinearly interpolated at p (fractional points
-    included, zero padded outside). The final expansion yields the level-1
-    leaf points.
+    entries mean zero offsets. Each point p expands into p + tap + offset(p)
+    for every tap, where offset(p) is the layer's offset field bilinearly
+    interpolated at p (fractional points included, zero padded outside). The
+    final expansion yields the leaf points.
     """
-    levels = len(offset_stack)
-    if levels < 1:
+    if len(offset_stack) < 1:
         raise ValueError("offset_stack must contain at least one layer")
-    if isinstance(downsample, (int, np.integer)):
-        strides = (int(downsample),) * levels
-    else:
-        strides = tuple(int(s) for s in downsample)
-        if len(strides) != levels:
-            raise ValueError(f"need one stride per layer, got {len(strides)} for {levels}")
-    if any(s < 1 for s in strides):
-        raise ValueError("strides must be >= 1")
-
     taps = kernel.taps
     k2 = taps.shape[0]
     pts = np.array([origin], dtype=np.float64)
-    per_level = []
-    for field, stride in zip(offset_stack, strides):
+    for field in offset_stack:
         n = pts.shape[0]
         if field is None:
             off = np.zeros((n, k2, 2), dtype=np.float64)
@@ -184,10 +151,8 @@ def trace_receptive_field(
                 raise ValueError(f"offset field has {field.taps} taps, kernel needs {k2}")
             planes = field.values.reshape(field.height, field.width, k2 * 2)
             off = _bilinear_planes(planes, pts[:, 0], pts[:, 1]).reshape(n, k2, 2)
-        children = stride * pts[:, None, :] + taps[None, :, :] + off
-        pts = _freeze(children.reshape(n * k2, 2), np.float64)
-        per_level.append(pts)
-    return ReceptiveTrace(levels, (float(origin[0]), float(origin[1])), tuple(per_level))
+        pts = (pts[:, None, :] + taps[None, :, :] + off).reshape(n * k2, 2)
+    return ReceptiveTrace((float(origin[0]), float(origin[1])), _freeze(pts, np.float64))
 
 
 def centroid_pull_score(trace: ReceptiveTrace, labels: LabelMap) -> float:

@@ -20,6 +20,9 @@ from .metrics import DetectionSet, label_boxes
 LAYOUTS = ("parallel_stripes", "fork", "curved_bands")
 
 _MIN_BAND_WIDTH = 2
+# Largest accepted canvas side. The descent holds several (H, W, D) float64
+# arrays, so a larger canvas runs out of memory or time before it helps.
+MAX_CANVAS_SIDE = 4096
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,10 @@ class SceneConfig:
     lane_thickness: int = 2
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"canvas must be >= 1x1, got {self.width}x{self.height}")
+        if not (1 <= self.width <= MAX_CANVAS_SIDE and 1 <= self.height <= MAX_CANVAS_SIDE):
+            raise ValueError(
+                f"canvas sides must lie in [1, {MAX_CANVAS_SIDE}], got {self.width}x{self.height}"
+            )
         if not 1 <= self.num_instances <= 6:
             raise ValueError(f"num_instances must be 1..6, got {self.num_instances}")
         if self.layout not in LAYOUTS:

@@ -15,6 +15,7 @@ from instance_embed import (
 )
 from instance_embed.cli import main
 from instance_embed.config import MAX_EMBEDDING_DIM
+from instance_embed.scenes import MAX_CANVAS_SIDE
 
 
 class TestDefaults:
@@ -119,6 +120,23 @@ class TestEmbeddingDim:
         assert main(["pipeline", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "optimizer.dim must be an integer in [1, 256]" in caplog.text
         assert not (tmp_path / "out").exists()
+
+
+class TestSceneCanvas:
+    def test_canvas_bounded(self, tmp_path, caplog):
+        cfg = parse_run_config({"scene": {"width": MAX_CANVAS_SIDE, "height": 1}})
+        assert cfg.scene.width == MAX_CANVAS_SIDE == 4096
+        for side in ("width", "height"):
+            with pytest.raises(ConfigError):
+                parse_run_config({"scene": {side: MAX_CANVAS_SIDE + 1}})
+        # a 10**6 x 10**6 canvas would need 7.28 TiB for one int64 label plane
+        p = tmp_path / "run.json"
+        p.write_text('{"scene": {"width": 1000000, "height": 1000000}}\n')
+        for command in ("gen", "pipeline"):
+            out = tmp_path / command
+            assert main([command, "--config", str(p), "--out", str(out)]) == 2
+            assert not out.exists()
+        assert "canvas sides must lie in [1, 4096], got 1000000x1000000" in caplog.text
 
 
 class TestLoadAndOverride:

@@ -1,10 +1,13 @@
-"""The README stays in step with the program: default config and command table."""
+"""The README stays in step with the program: default config, command table
+and library names."""
 import argparse
+import ast
 import json
 import re
 from dataclasses import asdict
 from pathlib import Path
 
+import instance_embed
 from instance_embed.cli import build_parser
 from instance_embed.config import default_run_config
 
@@ -28,3 +31,23 @@ def test_command_table_lists_exactly_the_subcommands():
     table = re.findall(r"^\| `([a-z]+)` \|", _section("Command-line interface"), re.M)
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(table) == sorted(sub.choices)
+
+
+def test_entry_point_names_are_public():
+    bullets = _section("Library use").split("Useful entry points beyond the pipeline:", 1)[1]
+    heads = [b.split(":", 1)[0] for b in bullets.split("\n- ")[1:]]
+    names = [n for head in heads for n in re.findall(r"`(\w+)`", head)]
+    assert "trace_receptive_field" in names
+    assert sorted(set(names) - set(instance_embed.__all__)) == []
+
+
+def test_library_example_imports_are_public():
+    code = re.search(r"```python\n(.*?)```", _section("Library use"), re.S).group(1)
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "instance_embed"
+        for alias in node.names
+    ]
+    assert "cluster_field" in names
+    assert sorted(set(names) - set(instance_embed.__all__)) == []

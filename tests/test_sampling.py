@@ -7,7 +7,6 @@ from instance_embed import (
     LabelMap,
     OffsetField,
     OriginOnBackground,
-    bilinear_sample,
     centroid_pull_score,
     deformable_sample,
     fit_offsets_to_centroid,
@@ -35,13 +34,18 @@ class TestKernelGrid:
             KernelGrid(4)
 
 
+def bilinear_read(grid, y, x):
+    """One bilinear read: a 1x1 kernel with weight 1 offset to (y, x) from (0, 0)."""
+    return deformable_sample(grid, KernelGrid(1), [[y, x]], [1.0], (0, 0))
+
+
 class TestBilinear:
     def test_integer_points_exact(self):
         rng = np.random.default_rng(0)
         grid = rng.standard_normal((5, 7))
         for y in range(5):
             for x in range(7):
-                assert bilinear_sample(grid, float(y), float(x)) == grid[y, x]
+                assert bilinear_read(grid, float(y), float(x)) == grid[y, x]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_oracle(self, seed):
@@ -50,27 +54,27 @@ class TestBilinear:
         for _ in range(20):
             y = float(rng.uniform(-2, 7))
             x = float(rng.uniform(-2, 7))
-            assert bilinear_sample(grid, y, x) == pytest.approx(
+            assert bilinear_read(grid, y, x) == pytest.approx(
                 oracle_bilinear(grid, y, x), abs=1e-12
             )
 
     def test_far_outside_is_zero(self):
         grid = np.ones((4, 4))
-        assert bilinear_sample(grid, -5.0, 2.0) == 0.0
-        assert bilinear_sample(grid, 2.0, 100.0) == 0.0
+        assert bilinear_read(grid, -5.0, 2.0) == 0.0
+        assert bilinear_read(grid, 2.0, 100.0) == 0.0
 
     def test_boundary_fades_linearly(self):
         grid = np.ones((4, 4))
         # half a pixel outside the edge: one neighbor row remains
-        assert bilinear_sample(grid, -0.5, 2.0) == pytest.approx(0.5, abs=1e-12)
+        assert bilinear_read(grid, -0.5, 2.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_linear_in_grid_values(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5))
         b = rng.standard_normal((5, 5))
         y, x = 1.3, 2.7
-        lhs = bilinear_sample(2.0 * a + 3.0 * b, y, x)
-        rhs = 2.0 * bilinear_sample(a, y, x) + 3.0 * bilinear_sample(b, y, x)
+        lhs = bilinear_read(2.0 * a + 3.0 * b, y, x)
+        rhs = 2.0 * bilinear_read(a, y, x) + 3.0 * bilinear_read(b, y, x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_continuity_small_steps(self):
@@ -78,9 +82,9 @@ class TestBilinear:
         grid = rng.standard_normal((8, 8))
         bound = np.abs(np.diff(grid, axis=0)).max() + np.abs(np.diff(grid, axis=1)).max()
         y, x = 3.4, 4.6
-        base = bilinear_sample(grid, y, x)
+        base = bilinear_read(grid, y, x)
         for eps in (1e-3, 1e-5):
-            moved = bilinear_sample(grid, y + eps, x)
+            moved = bilinear_read(grid, y + eps, x)
             assert abs(moved - base) <= bound * eps + 1e-12
 
 
@@ -129,16 +133,17 @@ class TestDeformableSample:
 class TestTrace:
     def test_leaf_counts_per_level(self):
         kernel = KernelGrid(3)
-        trace = trace_receptive_field([None, None, None], kernel, (10, 10), 1)
-        assert trace.levels == 3
-        assert [p.shape[0] for p in trace.per_level] == [9, 81, 729]
-        assert trace.points.shape == (729, 2)
+        counts = [
+            trace_receptive_field([None] * levels, kernel, (10, 10)).points.shape
+            for levels in (1, 2, 3)
+        ]
+        assert counts == [(9, 2), (81, 2), (729, 2)]
 
     def test_two_level_dilated_lattice(self):
         # two stacked 3x3 layers at stride 1 cover a 5x5 lattice with
         # separable multiplicities (1,2,3,2,1) per axis
         kernel = KernelGrid(3)
-        trace = trace_receptive_field([None, None], kernel, (0, 0), 1)
+        trace = trace_receptive_field([None, None], kernel, (0, 0))
         leaves = trace.points
         uniq, counts = np.unique(leaves, axis=0, return_counts=True)
         assert uniq.shape[0] == 25
@@ -150,29 +155,11 @@ class TestTrace:
             got[int(y) + 2, int(x) + 2] = c
         np.testing.assert_array_equal(got, want)
 
-    def test_stride_scales_parent_coordinates(self):
-        kernel = KernelGrid(3)
-        trace = trace_receptive_field([None, None], kernel, (3, 2), 2)
-        # level 2: 2*(3,2) + taps; level 1: 2*those + taps
-        lvl2 = trace.per_level[0]
-        np.testing.assert_array_equal(lvl2[4], [6, 4])  # center tap
-        lvl1 = trace.per_level[1]
-        np.testing.assert_array_equal(lvl1[4 * 9 + 4], [12, 8])
-        assert lvl1[:, 0].max() == 2 * (2 * 3 + 1) + 1
-
-    def test_per_level_strides(self):
-        kernel = KernelGrid(3)
-        a = trace_receptive_field([None, None], kernel, (1, 1), (2, 1))
-        b = trace_receptive_field([None, None], kernel, (1, 1), (1, 2))
-        assert not np.array_equal(a.points, b.points)
-        center_a = a.per_level[1][4 * 9 + 4]
-        np.testing.assert_array_equal(center_a, [2, 2])
-
     def test_constant_offsets_translate_leaves(self):
         kernel = KernelGrid(3)
-        base = trace_receptive_field([None], kernel, (4, 4), 1)
+        base = trace_receptive_field([None], kernel, (4, 4))
         field = uniform_offsets(9, 9, np.full((9, 2), [0.5, -1.5]))
-        moved = trace_receptive_field([field], kernel, (4, 4), 1)
+        moved = trace_receptive_field([field], kernel, (4, 4))
         np.testing.assert_allclose(moved.points, base.points + [0.5, -1.5], atol=1e-12)
 
     def test_offsets_interpolated_at_fractional_points(self):
@@ -183,8 +170,8 @@ class TestTrace:
         vals = rng.standard_normal((6, 6, 1, 2))
         lvl1 = OffsetField(vals)
         push = uniform_offsets(6, 6, np.array([[0.5, 0.25]]))
-        trace = trace_receptive_field([push, lvl1], kernel, (2, 3), 1)
-        mid = trace.per_level[0][0]
+        trace = trace_receptive_field([push, lvl1], kernel, (2, 3))
+        mid = trace_receptive_field([push], kernel, (2, 3)).points[0]
         np.testing.assert_allclose(mid, [2.5, 3.25], atol=1e-12)
         want_dy = oracle_bilinear(vals[:, :, 0, 0], 2.5, 3.25)
         want_dx = oracle_bilinear(vals[:, :, 0, 1], 2.5, 3.25)
@@ -194,14 +181,10 @@ class TestTrace:
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
-            trace_receptive_field([], KernelGrid(3), (0, 0), 1)
-
-    def test_stride_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            trace_receptive_field([None, None], KernelGrid(3), (0, 0), (1, 2, 3))
+            trace_receptive_field([], KernelGrid(3), (0, 0))
 
     def test_points_read_only(self):
-        trace = trace_receptive_field([None], KernelGrid(3), (0, 0), 1)
+        trace = trace_receptive_field([None], KernelGrid(3), (0, 0))
         with pytest.raises(ValueError):
             trace.points[0, 0] = 5.0
 
@@ -215,24 +198,24 @@ class TestCentroidPullScore:
 
     def test_interior_origin_scores_one(self):
         labels = self._labels()
-        trace = trace_receptive_field([None], KernelGrid(3), (4, 2), 1)
+        trace = trace_receptive_field([None], KernelGrid(3), (4, 2))
         assert centroid_pull_score(trace, labels) == 1.0
 
     def test_boundary_origin_scores_fraction(self):
         labels = self._labels()
         # taps at column 4 fall off instance 1 (background), 3 of 9 miss
-        trace = trace_receptive_field([None], KernelGrid(3), (4, 3), 1)
+        trace = trace_receptive_field([None], KernelGrid(3), (4, 3))
         assert centroid_pull_score(trace, labels) == pytest.approx(6.0 / 9.0)
 
     def test_out_of_bounds_leaves_count_as_misses(self):
         labels = self._labels()
-        trace = trace_receptive_field([None], KernelGrid(3), (0, 0), 1)
+        trace = trace_receptive_field([None], KernelGrid(3), (0, 0))
         # row -1 and column -1 are outside: only the 2x2 in-bounds corner hits
         assert centroid_pull_score(trace, labels) == pytest.approx(4.0 / 9.0)
 
     def test_background_origin_raises(self):
         labels = self._labels()
-        trace = trace_receptive_field([None], KernelGrid(3), (4, 5), 1)
+        trace = trace_receptive_field([None], KernelGrid(3), (4, 5))
         with pytest.raises(OriginOnBackground):
             centroid_pull_score(trace, labels)
 
@@ -241,7 +224,7 @@ class TestCentroidPullScore:
         # fractional origin 0.4 rounds down to pixel 0; offset leaves at
         # +-0.6 from integer coordinates round to the adjacent pixel
         field = uniform_offsets(9, 9, np.full((1, 2), [0.0, 0.6]))
-        trace = trace_receptive_field([field], KernelGrid(1), (4, 3), 1)
+        trace = trace_receptive_field([field], KernelGrid(1), (4, 3))
         # leaf at column 3.6 rounds to column 4: background, score 0
         assert centroid_pull_score(trace, labels) == 0.0
 
@@ -273,11 +256,11 @@ class TestFitOffsets:
         origin = (7, 10)  # on the instance, near its left edge
         kernel = KernelGrid(3)
         before = centroid_pull_score(
-            trace_receptive_field([None, None], kernel, origin, 1), labels
+            trace_receptive_field([None, None], kernel, origin), labels
         )
         fields = fit_offsets_to_centroid(labels, origin, kernel, levels=2)
         after = centroid_pull_score(
-            trace_receptive_field(fields, kernel, origin, 1), labels
+            trace_receptive_field(fields, kernel, origin), labels
         )
         assert after >= before
         assert after == 1.0
@@ -290,7 +273,7 @@ class TestFitOffsets:
         origin = (5, 8)
         kernel = KernelGrid(3)
         fields = fit_offsets_to_centroid(labels, origin, kernel, levels=2, steps=500)
-        trace = trace_receptive_field(fields, kernel, origin, 1)
+        trace = trace_receptive_field(fields, kernel, origin)
         rows, cols = np.nonzero(arr)
         centroid = np.array([rows.mean(), cols.mean()])
         np.testing.assert_allclose(trace.points.mean(axis=0), centroid, atol=1e-6)
