@@ -17,7 +17,9 @@ with two matrix products against [x | 1], zero-padded to a multiple of 32
 rows, and one exp: the weights are exp(kappa * (<x, y> - 1)), at most 1 for
 unit rows, and the product's last column is their total; the rare row whose
 total is not finite or vanishes is recomputed with its own largest dot
-subtracted.
+subtracted. At seed stride 1 the first pass shifts every point against every
+point, so its weights are symmetric: one upper-triangular sweep computes
+each of them once and adds it to both rows' sums.
 
 The merge is single linkage over the seed endpoints. It is found by a
 breadth-first search that expands a whole frontier at once, in blocks of
@@ -45,11 +47,18 @@ _FOLD_FRACTION = 0.1
 # A row of _shift_rows whose total weight falls below this is recomputed
 # with its row max subtracted.
 _TOTAL_FLOOR = 1e-100
-# Below this many points, mean shift runs on one OpenBLAS thread. On a
-# 2-vCPU guest a second thread takes a 64-row block at 3 136 points from
-# 789 to 714 us, but its worker then spins for about 0.13 s of CPU; at
-# 11 648 points it takes 2 710 us to 2 247.
+# Below this many points a strided mean shift runs on one OpenBLAS thread;
+# a stride-1 search always does. On a 2-vCPU guest a second thread takes a
+# 64-row block at 3 136 points from 789 to 714 us, but its worker then
+# spins for about 0.13 s of CPU; at 11 648 points it takes 2 710 us to
+# 2 247.
 _SERIAL_BLAS_POINTS = 4096
+# The stride-1 first pass forms its weights in strips of _SEED_BLOCK rows
+# by this many columns, 512 KiB that stay in L2. On a 2-vCPU guest at
+# 11 648 points the pass took 0.29 s on one thread, against 0.35 to 0.40 s
+# with strips as wide as the point set and 0.37 to 0.45 s for two products
+# per block on two threads.
+_STRIP_COLUMNS = 1024
 # _augment pads the point operand to a multiple of this many rows. OpenBLAS
 # 0.3.31 gives mean shift's (64, n) @ (n, D+1) product the same bits at one
 # and two threads when n % 32 is 0, and at most others it does not.
@@ -179,21 +188,10 @@ def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
     one matrix product gives the exponents kappa*(<x_j, y> - 1) and
     w = exp(...) needs no row max: for unit rows every weight is at most 1
     and cannot overflow. The second product w @ a returns the weighted sum
-    and, in its last column, the total weight. A row whose total is not
-    finite or below _TOTAL_FLOOR (kappa*(1 - max dot) above about 230, or
-    rows that are not unit vectors) is computed again on its own with its
-    largest dot subtracted inside the exponential, which rescales sum and
-    total alike. It reads only the real rows of a: a pad row's dot of 0
-    would be the largest whenever every real dot is negative. The floor
-    also keeps the squared norm of a sum that is not degenerate clear of
-    float64 underflow.
-
-    Returns (new, bad): the renormalized weighted means, and the rows whose
-    weighted sum has near-zero norm relative to the total weight (exactly
-    antipodal mass cancels). Bad rows of new are the unnormalized sums. The
-    weights overwrite the exponents in place: fresh rows x n buffers on
-    every step cost page faults whenever the allocator has returned the last
-    ones to the system.
+    and, in its last column, the total weight, and _finish_rows turns the
+    sums into unit rows. The weights overwrite the exponents in place:
+    fresh rows x n buffers on every step cost page faults whenever the
+    allocator has returned the last ones to the system.
     """
     d = cur.shape[1]
     q = np.empty((cur.shape[0], d + 1))
@@ -203,6 +201,26 @@ def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
     with np.errstate(over="ignore", invalid="ignore"):  # inf weights: recomputed below
         np.exp(w, out=w)
         s = w @ a
+    return _finish_rows(s, cur, a, kappa)
+
+
+def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
+    """Renormalize the weighted sums s = [sum_j w_j x_j | sum_j w_j] of each row of cur.
+
+    A row whose total is not finite or below _TOTAL_FLOOR (kappa*(1 - max
+    dot) above about 230, or rows that are not unit vectors) is computed
+    again on its own with its largest dot subtracted inside the
+    exponential, which rescales sum and total alike. It reads only the real
+    rows of a = _augment(x_points): a pad row's dot of 0 would be the
+    largest whenever every real dot is negative. The floor also keeps the
+    squared norm of a sum that is not degenerate clear of float64
+    underflow. s is overwritten.
+
+    Returns (new, bad): the renormalized weighted means, and the rows whose
+    weighted sum has near-zero norm relative to the total weight (exactly
+    antipodal mass cancels). Bad rows of new are the unnormalized sums.
+    """
+    d = cur.shape[1]
     for r in np.flatnonzero(~(np.isfinite(s[:, d]) & (s[:, d] >= _TOTAL_FLOOR))):
         real = a[: np.count_nonzero(a[:, d])]  # without _augment's zero pad
         wr = real[:, :d] @ cur[r]
@@ -215,6 +233,48 @@ def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
     bad = norms < 1e-12 * total
     safe = np.where(bad, 1.0, norms)
     return s / safe[:, None], bad
+
+
+def _symmetric_sums(a: np.ndarray, n: int, kappa: float) -> np.ndarray:
+    """The sums _shift_rows forms for the first n rows of a, each weight once.
+
+    Row i is [sum_j w_ij x_j | sum_j w_ij] over the n real rows x_j of
+    a = _augment(x_points), with w_ij = exp(kappa * (<x_i, x_j> - 1)) = w_ji.
+    Each block I of _SEED_BLOCK rows forms its weights against the rows from
+    I on, _STRIP_COLUMNS columns J at a time, in one reused buffer. The
+    product of a strip with the rows J adds to the sums of I, and its
+    transpose times the rows of I adds to the sums of the rows of J past I,
+    so each weight is exponentiated once instead of twice. An inf or NaN
+    weight spreads into both rows' totals and leaves them to _finish_rows'
+    fallback. Memory is the n x (D+1) sums plus the strip buffer.
+    """
+    d = a.shape[1] - 1
+    real = a[:n]
+    s = np.zeros((n, d + 1))
+    q = np.empty((_SEED_BLOCK, d + 1))
+    # Sized like a full-width strip, though a strip fills only its first
+    # _SEED_BLOCK x _STRIP_COLUMNS: freeing it raises glibc malloc's mmap
+    # threshold as a pass of _shift_rows does, so the fold and later passes
+    # share one heap region. One strip's size left dense-128's peak RSS 3 MB
+    # higher.
+    flat = np.empty(_SEED_BLOCK * n)
+    later = np.empty((_STRIP_COLUMNS, d + 1))  # the transposed products, in place
+    with np.errstate(over="ignore", invalid="ignore"):  # inf weights: recomputed later
+        for i0 in range(0, n, _SEED_BLOCK):
+            i1 = min(i0 + _SEED_BLOCK, n)
+            b = i1 - i0
+            np.multiply(real[i0:i1, :d], kappa, out=q[:b, :d])
+            q[:b, d] = -kappa
+            for j0 in range(i0, n, _STRIP_COLUMNS):
+                j1 = min(j0 + _STRIP_COLUMNS, n)
+                w = flat[: b * (j1 - j0)].reshape(b, j1 - j0)
+                np.matmul(q[:b], real[j0:j1].T, out=w)
+                np.exp(w, out=w)
+                s[i0:i1] += w @ real[j0:j1]
+                k0 = max(j0, i1)  # the first strip holds I's own columns
+                np.matmul(w[:, k0 - j0 :].T, real[i0:i1], out=later[: j1 - k0])
+                s[k0:j1] += later[: j1 - k0]
+    return s
 
 
 def vmf_shift_step(x_points: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
@@ -308,20 +368,22 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     transitively. Each mode is the renormalized seed-weighted mean of its
     rows, and modes are sorted by descending basin seed count (ties: the
     earliest contributing seed first). Every seed counter is in original
-    seeds; passes and row_updates count the passes and the _shift_rows row
+    seeds; passes and row_updates count the passes and the single-row
     updates, folded rows once each.
 
-    With fewer than _SERIAL_BLAS_POINTS points the search runs on one
-    OpenBLAS thread, so its result does not depend on the caller's thread
-    count, and then restores that count; above it, it runs on the library
-    default. The count is process-wide, so this is not safe to call
-    concurrently from several Python threads that also use BLAS: their
-    products can run on one thread, and overlapping calls can leave the
-    count at 1.
+    At seed_stride 1 the first pass sums each symmetric kernel weight once
+    (_symmetric_sums), so its results differ from _shift_rows' by rounding
+    only. A stride-1 search, or a strided one on fewer than
+    _SERIAL_BLAS_POINTS points, runs on one OpenBLAS thread, so its result
+    does not depend on the caller's thread count, and then restores that
+    count; a larger strided search runs on the library default. The count
+    is process-wide, so this is not safe to call concurrently from several
+    Python threads that also use BLAS: their products can run on one
+    thread, and overlapping calls can leave the count at 1.
     """
     if x_points.ndim != 2 or x_points.shape[0] == 0:
         raise ValueError("point matrix must be non-empty (n, D)")
-    if x_points.shape[0] >= _SERIAL_BLAS_POINTS:
+    if cfg.seed_stride > 1 and x_points.shape[0] >= _SERIAL_BLAS_POINTS:
         return _mean_shift_modes(x_points, cfg)
     with _blas.single_thread():
         return _mean_shift_modes(x_points, cfg)
@@ -335,8 +397,11 @@ def _mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     moving = np.arange(pts.shape[0])
     cos_fold = math.cos(_FOLD_FRACTION * cfg.merge_tolerance)
     passes = row_updates = 0
+    # At stride 1 the first pass shifts every point against every point.
+    first = _symmetric_sums(a, pts.shape[0], cfg.kappa) if cfg.seed_stride == 1 else None
     for it in range(cfg.max_iters):
         if it:
+            first = None  # released before pass 2
             moving = _fold_rows(pts, moving, weight, cos_fold)
         passes += 1
         row_updates += moving.size
@@ -344,7 +409,10 @@ def _mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
         for i in range(0, moving.size, _SEED_BLOCK):
             blk = moving[i : i + _SEED_BLOCK]
             cur = pts[blk]
-            new, bad = _shift_rows(cur, a, cfg.kappa)
+            if first is None:
+                new, bad = _shift_rows(cur, a, cfg.kappa)
+            else:
+                new, bad = _finish_rows(first[blk], cur, a, cfg.kappa)
             moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
             pts[blk[~bad]] = new[~bad]
             dropped[blk[bad]] = True

@@ -16,12 +16,17 @@ from .fileio import read_json
 from .losses import DiscriminativeConfig
 from .metrics import _is_int
 from .optimize import OptimizerConfig
-from .scenes import SceneConfig
+from .scenes import MAX_CANVAS_SIDE, SceneConfig
 
 DEFAULT_EMBEDDING_DIM = 8
 # Largest accepted optimizer.dim. The descent holds several (H, W, dim)
 # float64 arrays, so a larger dim runs out of memory or time before it helps.
 MAX_EMBEDDING_DIM = 256
+# Largest accepted scene.width x scene.height x optimizer.dim: the largest
+# canvas at the default dim, where each (H, W, dim) float64 array of the
+# descent takes 1 GiB. The two bounds above alone let a 4096x4096 canvas at
+# dim 256 ask for 32 GiB arrays.
+MAX_FIELD_VALUES = MAX_CANVAS_SIDE * MAX_CANVAS_SIDE * DEFAULT_EMBEDDING_DIM
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,14 @@ def parse_run_config(doc: dict) -> RunConfig:
         name: _build_section(name, cls, section_docs[name])
         for name, cls in _SECTION_TYPES.items()
     }
+    scene = sections["scene"]
+    if scene.width * scene.height * dim > MAX_FIELD_VALUES:
+        raise ConfigError(
+            f"scene.width x scene.height x optimizer.dim must be at most {MAX_FIELD_VALUES}, "
+            f"got {scene.width}x{scene.height}x{dim}"
+        )
     return RunConfig(
-        scene=sections["scene"],
+        scene=scene,
         loss=sections["loss"],
         optimizer=sections["optimizer"],
         cluster=sections["cluster"],

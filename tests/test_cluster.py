@@ -29,9 +29,11 @@ from instance_embed.clustering import (
     _SERIAL_BLAS_POINTS,
     _TOTAL_FLOOR,
     _augment,
+    _finish_rows,
     _fold_rows,
     _shift_rows,
     _single_linkage,
+    _symmetric_sums,
 )
 
 from _oracles import oracle_kde, oracle_mean_shift, oracle_single_linkage, oracle_vmf_step
@@ -196,6 +198,69 @@ class TestShiftKernel:
             for r in range(cur.shape[0]):
                 want = oracle_vmf_step(x_points, cur[r], kappa)
                 assert np.linalg.norm(new[r] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _one_step(x_points, kappa):
+    """Every point's one-step _shift_rows update, 64 rows at a time."""
+    a = _augment(x_points)
+    blocks = [_shift_rows(x_points[i : i + 64], a, kappa) for i in range(0, len(x_points), 64)]
+    return np.concatenate([new for new, _ in blocks]), np.concatenate([bad for _, bad in blocks])
+
+
+class TestSymmetricFirstPass:
+    """At stride 1 the first pass sums each kernel weight once, for both rows."""
+
+    @staticmethod
+    def _first_pass(monkeypatch, x_points, kappa):
+        # every point's own mode after one pass, with no _shift_rows call
+        calls = []
+        monkeypatch.setattr(clustering, "_shift_rows", lambda *args: calls.append(args))
+        cfg = VmfConfig(kappa=kappa, seed_stride=1, max_iters=1, merge_tolerance=1e-9)
+        search = mean_shift_modes(x_points, cfg)
+        assert not calls
+        assert search.modes.shape == x_points.shape and search.dropped_seeds == 0
+        return search.modes
+
+    @pytest.mark.parametrize("n", [130, 4133])  # neither a multiple of 32 or 64
+    def test_one_pass_matches_shift_rows(self, monkeypatch, n):
+        x = _bundled_points(n, seed=n)
+        want, bad = _one_step(x, 10.0)
+        assert not bad.any()
+        got = self._first_pass(monkeypatch, x, 10.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=False)
+
+    def test_overflowing_points_of_norm_three_match_shift_rows(self, monkeypatch):
+        # exp(1000 * (9 cos - 1)) overflows: every total is inf or NaN
+        rng = np.random.default_rng(31)
+        x = 3.0 * _bundle(rng, _unit([0.0, 1.0, 1.0]), 130, 0.1, 3)
+        assert _falls_back(x, x, 1000.0).all()
+        want, bad = _one_step(x, 1000.0)
+        assert not bad.any()
+        for r in range(0, 130, 7):  # the fallback itself is the oracle's loop
+            np.testing.assert_allclose(want[r], oracle_vmf_step(x, x[r], 1000.0), atol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._first_pass(monkeypatch, x, 1000.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=False)
+
+    def test_overflow_spreads_into_later_rows_and_falls_back(self):
+        # rows of norm 3, then unit rows: exp(1000 * (3 cos - 1)) overflows
+        # between the two kinds, so the unit rows' totals, finite among
+        # themselves, turn inf or NaN only through the transposed products
+        # of the earlier strips, and those rows must take the fallback
+        rng = np.random.default_rng(32)
+        x = _bundle(rng, _unit([0.0, 1.0, 1.0]), 130, 0.1, 3)
+        x[:70] *= 3.0
+        assert not _falls_back(x[70:], x[70:], 1000.0).any()
+        a = _augment(x)
+        sums = _symmetric_sums(a, 130, 1000.0)
+        assert not np.isfinite(sums[70:, -1]).any()
+        got, bad = _finish_rows(sums, x, a, 1000.0)
+        want, want_bad = _one_step(x, 1000.0)
+        assert not bad.any() and not want_bad.any()
+        for r in range(70, 130, 7):
+            np.testing.assert_allclose(want[r], oracle_vmf_step(x, x[r], 1000.0), atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=False)
 
 
 class TestModeSearch:
@@ -384,6 +449,32 @@ class TestBlasThreadPolicy:
         mean_shift_modes(_bundled_points(n), VmfConfig(seed_stride=5, merge_tolerance=0.5))
         assert seen and set(seen) == {want}
         assert _threads() == 2
+
+    def test_stride_one_runs_on_one_thread_above_the_gate(self):
+        seen = []
+
+        def recording(fn):
+            def call(*args):
+                seen.append((fn.__name__, _threads()))
+                return fn(*args)
+            return call
+
+        x = _bundled_points(5000, seed=6)
+        cfg = VmfConfig(merge_tolerance=0.5, max_iters=3)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_symmetric_sums", "_shift_rows"):
+                mp.setattr(clustering, name, recording(getattr(clustering, name)))
+            two = mean_shift_modes(x, cfg)
+        assert x.shape[0] > _SERIAL_BLAS_POINTS and two.passes > 1
+        assert {name for name, _ in seen} == {"_symmetric_sums", "_shift_rows"}
+        assert {threads for _, threads in seen} == {1}
+        assert _threads() == 2
+        with _blas.single_thread():
+            one = mean_shift_modes(x, cfg)
+        assert one.modes.tobytes() == two.modes.tobytes()
+        np.testing.assert_array_equal(one.basin_seeds, two.basin_seeds)
+        assert (one.dropped_seeds, one.unconverged_seeds, one.passes, one.row_updates) == (
+            two.dropped_seeds, two.unconverged_seeds, two.passes, two.row_updates)
 
     # Multiples of 64, as every benchmark scene's pixel count is, so
     # _augment adds no pad: OpenBLAS 0.3.31 gives a (64, n) @ (n, 9) product

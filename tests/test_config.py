@@ -14,7 +14,7 @@ from instance_embed import (
     parse_run_config,
 )
 from instance_embed.cli import main
-from instance_embed.config import MAX_EMBEDDING_DIM
+from instance_embed.config import MAX_EMBEDDING_DIM, MAX_FIELD_VALUES
 from instance_embed.scenes import MAX_CANVAS_SIDE
 
 
@@ -137,6 +137,28 @@ class TestSceneCanvas:
             assert main([command, "--config", str(p), "--out", str(out)]) == 2
             assert not out.exists()
         assert "canvas sides must lie in [1, 4096], got 1000000x1000000" in caplog.text
+
+
+class TestFieldSize:
+    def test_canvas_times_dim_bounded(self, tmp_path, caplog):
+        side = {"width": MAX_CANVAS_SIDE, "height": MAX_CANVAS_SIDE}
+        cfg = parse_run_config({"scene": side, "optimizer": {"dim": DEFAULT_EMBEDDING_DIM}})
+        assert cfg.scene.width * cfg.scene.height * cfg.embedding_dim == MAX_FIELD_VALUES
+        with pytest.raises(ConfigError):
+            parse_run_config({"scene": side, "optimizer": {"dim": DEFAULT_EMBEDDING_DIM + 1}})
+        # each sits within its own bound, but one (4096, 4096, 256) float64
+        # array of the descent would take 32 GiB
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"scene": side, "optimizer": {"dim": MAX_EMBEDDING_DIM}}))
+        for command in ("gen", "optimize", "pipeline"):
+            out = tmp_path / command
+            args = [command, "--config", str(p), "--out", str(out)]
+            if command == "optimize":
+                args += ["--labels", str(tmp_path / "labels.pgm")]
+            assert main(args) == 2
+            assert not out.exists()
+        assert (f"scene.width x scene.height x optimizer.dim must be at most {MAX_FIELD_VALUES}, "
+                "got 4096x4096x256") in caplog.text
 
 
 class TestLoadAndOverride:
