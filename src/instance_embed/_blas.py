@@ -1,8 +1,10 @@
 """The OpenBLAS thread count, reached through the library numpy loaded.
 
 After a multi-threaded call, an idle OpenBLAS worker spins for about
-0.13 s of CPU before it sleeps; single_thread() keeps small products from
-waking it. Without a bundled OpenBLAS (MKL, Accelerate) it does nothing.
+0.13 s of CPU before it sleeps. Every mean-shift search runs inside
+single_thread(), so it never wakes that worker and its bits do not depend
+on the caller's thread count. Without a bundled OpenBLAS (MKL, Accelerate)
+it does nothing.
 """
 from __future__ import annotations
 

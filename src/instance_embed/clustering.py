@@ -13,13 +13,13 @@ All seeds are shifted together, one pass at a time. Between passes, seeds
 still moving within merge_tolerance / 10 of each other are folded into one
 row that carries their count, and only the kept rows are shifted further;
 every reported counter is in original seeds. Each block of rows is updated
-with two matrix products against [x | 1], zero-padded to a multiple of 32
-rows, and one exp: the weights are exp(kappa * (<x, y> - 1)), at most 1 for
-unit rows, and the product's last column is their total; the rare row whose
-total is not finite or vanishes is recomputed with its own largest dot
-subtracted. At seed stride 1 the first pass shifts every point against every
-point, so its weights are symmetric: one upper-triangular sweep computes
-each of them once and adds it to both rows' sums.
+with two matrix products against [x | 1] and one exp: the weights are
+exp(kappa * (<x, y> - 1)), at most 1 for unit rows, and the product's last
+column is their total; the rare row whose total is not finite or vanishes
+is recomputed with its own largest dot subtracted. The whole search runs
+on one OpenBLAS thread. At seed stride 1 the first pass shifts every point
+against every point, so its weights are symmetric: one upper-triangular
+sweep computes each of them once and adds it to both rows' sums.
 
 The merge is single linkage over the seed endpoints. It is found by a
 breadth-first search that expands a whole frontier at once, in blocks of
@@ -47,22 +47,12 @@ _FOLD_FRACTION = 0.1
 # A row of _shift_rows whose total weight falls below this is recomputed
 # with its row max subtracted.
 _TOTAL_FLOOR = 1e-100
-# Below this many points a strided mean shift runs on one OpenBLAS thread;
-# a stride-1 search always does. On a 2-vCPU guest a second thread takes a
-# 64-row block at 3 136 points from 789 to 714 us, but its worker then
-# spins for about 0.13 s of CPU; at 11 648 points it takes 2 710 us to
-# 2 247.
-_SERIAL_BLAS_POINTS = 4096
 # The stride-1 first pass forms its weights in strips of _SEED_BLOCK rows
 # by this many columns, 512 KiB that stay in L2. On a 2-vCPU guest at
 # 11 648 points the pass took 0.29 s on one thread, against 0.35 to 0.40 s
 # with strips as wide as the point set and 0.37 to 0.45 s for two products
 # per block on two threads.
 _STRIP_COLUMNS = 1024
-# _augment pads the point operand to a multiple of this many rows. OpenBLAS
-# 0.3.31 gives mean shift's (64, n) @ (n, D+1) product the same bits at one
-# and two threads when n % 32 is 0, and at most others it does not.
-_PAD_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -168,17 +158,8 @@ def flatten_foreground(
 
 
 def _augment(x_points: np.ndarray) -> np.ndarray:
-    """The operand [x | 1] that _shift_rows multiplies against.
-
-    Zero rows pad it to a multiple of _PAD_ROWS rows. They add nothing to a
-    weighted sum or to the total weight, and OpenBLAS then gives the
-    products the same bits at any thread count.
-    """
-    n = x_points.shape[0]
-    a = np.zeros((-(-n // _PAD_ROWS) * _PAD_ROWS, x_points.shape[1] + 1))
-    a[:n, :-1] = x_points
-    a[:n, -1] = 1.0
-    return a
+    """The operand [x | 1] that _shift_rows multiplies against."""
+    return np.hstack([x_points, np.ones((x_points.shape[0], 1))])
 
 
 def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
@@ -210,10 +191,8 @@ def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
     A row whose total is not finite or below _TOTAL_FLOOR (kappa*(1 - max
     dot) above about 230, or rows that are not unit vectors) is computed
     again on its own with its largest dot subtracted inside the
-    exponential, which rescales sum and total alike. It reads only the real
-    rows of a = _augment(x_points): a pad row's dot of 0 would be the
-    largest whenever every real dot is negative. The floor also keeps the
-    squared norm of a sum that is not degenerate clear of float64
+    exponential, which rescales sum and total alike. The floor also keeps
+    the squared norm of a sum that is not degenerate clear of float64
     underflow. s is overwritten.
 
     Returns (new, bad): the renormalized weighted means, and the rows whose
@@ -222,12 +201,11 @@ def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
     """
     d = cur.shape[1]
     for r in np.flatnonzero(~(np.isfinite(s[:, d]) & (s[:, d] >= _TOTAL_FLOOR))):
-        real = a[: np.count_nonzero(a[:, d])]  # without _augment's zero pad
-        wr = real[:, :d] @ cur[r]
+        wr = a[:, :d] @ cur[r]
         wr -= wr.max()
         wr *= kappa
         np.exp(wr, out=wr)
-        s[r] = wr @ real
+        s[r] = wr @ a
     s, total = s[:, :d], s[:, d]
     norms = np.sqrt(np.einsum("ij,ij->i", s, s))
     bad = norms < 1e-12 * total
@@ -235,10 +213,10 @@ def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
     return s / safe[:, None], bad
 
 
-def _symmetric_sums(a: np.ndarray, n: int, kappa: float) -> np.ndarray:
-    """The sums _shift_rows forms for the first n rows of a, each weight once.
+def _symmetric_sums(a: np.ndarray, kappa: float) -> np.ndarray:
+    """The sums _shift_rows forms for every row of a, each weight once.
 
-    Row i is [sum_j w_ij x_j | sum_j w_ij] over the n real rows x_j of
+    Row i is [sum_j w_ij x_j | sum_j w_ij] over the rows x_j of
     a = _augment(x_points), with w_ij = exp(kappa * (<x_i, x_j> - 1)) = w_ji.
     Each block I of _SEED_BLOCK rows forms its weights against the rows from
     I on, _STRIP_COLUMNS columns J at a time, in one reused buffer. The
@@ -248,8 +226,7 @@ def _symmetric_sums(a: np.ndarray, n: int, kappa: float) -> np.ndarray:
     weight spreads into both rows' totals and leaves them to _finish_rows'
     fallback. Memory is the n x (D+1) sums plus the strip buffer.
     """
-    d = a.shape[1] - 1
-    real = a[:n]
+    n, d = a.shape[0], a.shape[1] - 1
     s = np.zeros((n, d + 1))
     q = np.empty((_SEED_BLOCK, d + 1))
     # Sized like a full-width strip, though a strip fills only its first
@@ -263,16 +240,16 @@ def _symmetric_sums(a: np.ndarray, n: int, kappa: float) -> np.ndarray:
         for i0 in range(0, n, _SEED_BLOCK):
             i1 = min(i0 + _SEED_BLOCK, n)
             b = i1 - i0
-            np.multiply(real[i0:i1, :d], kappa, out=q[:b, :d])
+            np.multiply(a[i0:i1, :d], kappa, out=q[:b, :d])
             q[:b, d] = -kappa
             for j0 in range(i0, n, _STRIP_COLUMNS):
                 j1 = min(j0 + _STRIP_COLUMNS, n)
                 w = flat[: b * (j1 - j0)].reshape(b, j1 - j0)
-                np.matmul(q[:b], real[j0:j1].T, out=w)
+                np.matmul(q[:b], a[j0:j1].T, out=w)
                 np.exp(w, out=w)
-                s[i0:i1] += w @ real[j0:j1]
+                s[i0:i1] += w @ a[j0:j1]
                 k0 = max(j0, i1)  # the first strip holds I's own columns
-                np.matmul(w[:, k0 - j0 :].T, real[i0:i1], out=later[: j1 - k0])
+                np.matmul(w[:, k0 - j0 :].T, a[i0:i1], out=later[: j1 - k0])
                 s[k0:j1] += later[: j1 - k0]
     return s
 
@@ -353,6 +330,7 @@ def _fold_rows(pts: np.ndarray, rows: np.ndarray, weight: np.ndarray, cos_fold: 
     return kept[:n_kept]
 
 
+@_blas.single_thread()
 def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     """Iterate strided seeds to their modes and merge coinciding directions.
 
@@ -373,23 +351,14 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
 
     At seed_stride 1 the first pass sums each symmetric kernel weight once
     (_symmetric_sums), so its results differ from _shift_rows' by rounding
-    only. A stride-1 search, or a strided one on fewer than
-    _SERIAL_BLAS_POINTS points, runs on one OpenBLAS thread, so its result
-    does not depend on the caller's thread count, and then restores that
-    count; a larger strided search runs on the library default. The count
-    is process-wide, so this is not safe to call concurrently from several
-    Python threads that also use BLAS: their products can run on one
-    thread, and overlapping calls can leave the count at 1.
+    only. Every search runs on one OpenBLAS thread, so its result does not
+    depend on the caller's thread count, and then restores that count. The
+    count is process-wide, so this is not safe to call concurrently from
+    several Python threads that also use BLAS: their products can run on
+    one thread, and overlapping calls can leave the count at 1.
     """
     if x_points.ndim != 2 or x_points.shape[0] == 0:
         raise ValueError("point matrix must be non-empty (n, D)")
-    if cfg.seed_stride > 1 and x_points.shape[0] >= _SERIAL_BLAS_POINTS:
-        return _mean_shift_modes(x_points, cfg)
-    with _blas.single_thread():
-        return _mean_shift_modes(x_points, cfg)
-
-
-def _mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     pts = x_points[:: cfg.seed_stride].copy()
     a = _augment(x_points)
     weight = np.ones(pts.shape[0], dtype=np.int64)  # original seeds per row
@@ -398,7 +367,7 @@ def _mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     cos_fold = math.cos(_FOLD_FRACTION * cfg.merge_tolerance)
     passes = row_updates = 0
     # At stride 1 the first pass shifts every point against every point.
-    first = _symmetric_sums(a, pts.shape[0], cfg.kappa) if cfg.seed_stride == 1 else None
+    first = _symmetric_sums(a, cfg.kappa) if cfg.seed_stride == 1 else None
     for it in range(cfg.max_iters):
         if it:
             first = None  # released before pass 2

@@ -233,10 +233,9 @@ class TestCluster:
     def test_out_independent_of_blas_threads_above_the_gate(self, tmp_path):
         from instance_embed import BinaryMask
 
-        # 4133 mask pixels: above the 4096-point gate, so mean shift runs on
-        # the caller's thread count, and 4133 % 32 == 5. Without the pad,
-        # OpenBLAS 0.3.31 rounds such products differently at one and two
-        # threads.
+        # 4133 mask pixels at stride 5, and 4133 % 32 == 5: OpenBLAS 0.3.31
+        # rounds mean shift's products at such a count differently at one
+        # and two threads, so only a one-thread search keeps these bytes.
         rng = np.random.default_rng(21)
         centers = 2.0 * rng.standard_normal((3, 8))
         v = centers[rng.integers(0, 3, (70, 64))] + 0.3 * rng.standard_normal((70, 64, 8))
@@ -487,10 +486,8 @@ class TestPipeline:
             "optimizer": {"max_steps": 300, "loss_tolerance": 1e-3, "seed": 1003},
             "cluster": {"seed_stride": 5, "merge_tolerance": 1.65},
         },
-        # 96x96 at stride 1: 6528 points, over 4096, so mean shift keeps the
-        # default thread count and its products run on two threads in the
-        # second run. 6528 is a multiple of 32, which OpenBLAS 0.3.31 needs
-        # to give those products the same bits at one and two threads.
+        # 96x96 at stride 1: 6528 points, in strips of 1024 columns for
+        # the symmetric first pass.
         {
             "scene": {"width": 96, "height": 96, "num_instances": 3,
                       "layout": "curved_bands", "seed": 6},

@@ -26,7 +26,6 @@ from instance_embed import (
 from instance_embed import _blas, clustering, fileio
 from instance_embed.cli import main
 from instance_embed.clustering import (
-    _SERIAL_BLAS_POINTS,
     _TOTAL_FLOOR,
     _augment,
     _finish_rows,
@@ -253,7 +252,7 @@ class TestSymmetricFirstPass:
         x[:70] *= 3.0
         assert not _falls_back(x[70:], x[70:], 1000.0).any()
         a = _augment(x)
-        sums = _symmetric_sums(a, 130, 1000.0)
+        sums = _symmetric_sums(a, 1000.0)
         assert not np.isfinite(sums[70:, -1]).any()
         got, bad = _finish_rows(sums, x, a, 1000.0)
         want, want_bad = _one_step(x, 1000.0)
@@ -436,8 +435,10 @@ class TestBlasThreadPolicy:
             assert get() == 2
         assert get() == 2
 
-    @pytest.mark.parametrize("n, want", [(3000, 1), (5000, 2)])
-    def test_shift_runs_on_one_thread_below_the_gate(self, monkeypatch, n, want):
+    # Every search runs on one thread, whatever its size (3000 and 5000
+    # points sit either side of the 4096 the name refers to) and stride.
+    @pytest.mark.parametrize("n, stride", [(3000, 1), (5000, 2)])
+    def test_shift_runs_on_one_thread_below_the_gate(self, monkeypatch, n, stride):
         seen = []
 
         def recording(cur, a, kappa):
@@ -445,9 +446,8 @@ class TestBlasThreadPolicy:
             return _shift_rows(cur, a, kappa)
 
         monkeypatch.setattr(clustering, "_shift_rows", recording)
-        assert (n < _SERIAL_BLAS_POINTS) == (want == 1)
-        mean_shift_modes(_bundled_points(n), VmfConfig(seed_stride=5, merge_tolerance=0.5))
-        assert seen and set(seen) == {want}
+        mean_shift_modes(_bundled_points(n), VmfConfig(seed_stride=stride, merge_tolerance=0.5))
+        assert seen and set(seen) == {1}
         assert _threads() == 2
 
     def test_stride_one_runs_on_one_thread_above_the_gate(self):
@@ -465,7 +465,7 @@ class TestBlasThreadPolicy:
             for name in ("_symmetric_sums", "_shift_rows"):
                 mp.setattr(clustering, name, recording(getattr(clustering, name)))
             two = mean_shift_modes(x, cfg)
-        assert x.shape[0] > _SERIAL_BLAS_POINTS and two.passes > 1
+        assert two.passes > 1
         assert {name for name, _ in seen} == {"_symmetric_sums", "_shift_rows"}
         assert {threads for _, threads in seen} == {1}
         assert _threads() == 2
@@ -476,28 +476,9 @@ class TestBlasThreadPolicy:
         assert (one.dropped_seeds, one.unconverged_seeds, one.passes, one.row_updates) == (
             two.dropped_seeds, two.unconverged_seeds, two.passes, two.row_updates)
 
-    # Multiples of 64, as every benchmark scene's pixel count is, so
-    # _augment adds no pad: OpenBLAS 0.3.31 gives a (64, n) @ (n, 9) product
-    # the same bits at one and two threads when n % 32 is 0.
-    @pytest.mark.parametrize("n", [2944, 4992])
-    def test_gate_leaves_mode_search_bits_unchanged(self, monkeypatch, n):
-        x = _bundled_points(n, seed=n)
-        cfg = VmfConfig(seed_stride=5, merge_tolerance=0.5)
-        runs = []
-        for gate in (0, n + 1):  # never serial, always serial
-            monkeypatch.setattr(clustering, "_SERIAL_BLAS_POINTS", gate)
-            runs.append(mean_shift_modes(x, cfg))
-        multi, serial = runs
-        assert multi.modes.shape[0] > 0
-        assert multi.modes.tobytes() == serial.modes.tobytes()
-        np.testing.assert_array_equal(multi.basin_seeds, serial.basin_seeds)
-        assert (multi.dropped_seeds, multi.unconverged_seeds, multi.passes,
-                multi.row_updates) == (serial.dropped_seeds, serial.unconverged_seeds,
-                                       serial.passes, serial.row_updates)
-
-    def test_result_below_the_gate_ignores_the_callers_count(self):
-        # Below the gate every caller gets the one-thread bits.
-        x = _bundled_points(3000, seed=4)
+    @pytest.mark.parametrize("n", [3000, 4133])  # 4133: not a multiple of 32
+    def test_result_ignores_the_callers_count(self, n):
+        x = _bundled_points(n, seed=4)
         cfg = VmfConfig(seed_stride=5, merge_tolerance=0.5)
         two = mean_shift_modes(x, cfg)
         with _blas.single_thread():
