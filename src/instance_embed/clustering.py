@@ -12,14 +12,16 @@ property of the data and the kernel width.
 All seeds are shifted together, one pass at a time. Between passes, seeds
 still moving within merge_tolerance / 10 of each other are folded into one
 row that carries their count, and only the kept rows are shifted further;
-every reported counter is in original seeds. Each block of rows is updated
-with two matrix products against [x | 1] and one exp: the weights are
-exp(kappa * (<x, y> - 1)), at most 1 for unit rows, and the product's last
-column is their total; the rare row whose total is not finite or vanishes
-is recomputed with its own largest dot subtracted. The whole search runs
-on one OpenBLAS thread. At seed stride 1 the first pass shifts every point
-against every point, so its weights are symmetric: one upper-triangular
-sweep computes each of them once and adds it to both rows' sums.
+every reported counter is in original seeds. One kernel forms every pass's
+sums, in strips of _SEED_BLOCK rows by _STRIP_COLUMNS points: two matrix
+products against [x | 1] and one exp per strip. The weights are
+exp(kappa * (<x, y> - 1)), at most 1 for unit rows, and the second
+product's last column is their total; the rare row whose total is not
+finite or vanishes is recomputed with its own largest dot subtracted. The
+whole search runs on one OpenBLAS thread. At seed stride 1 the first pass
+shifts every point against every point, so its weights are symmetric: the
+same kernel then sweeps the upper triangle only and adds each weight to
+both rows' sums.
 
 The merge is single linkage over the seed endpoints. It is found by a
 breadth-first search that expands a whole frontier at once, in blocks of
@@ -38,20 +40,19 @@ from .core import BinaryMask, EmbeddingField, Grid2D, _freeze, validate_pair
 from .errors import DegenerateShift, DegenerateVector, EmptyForeground
 from .losses import DiscriminativeConfig
 
-# Seeds are iterated, folded and merge frontiers expanded in fixed-size
-# blocks, which bounds the block x n dot, kernel-weight and angle matrices.
+# Seeds are shifted, folded and merge frontiers expanded in fixed-size
+# blocks, which bounds the block x n dot and angle matrices.
 _SEED_BLOCK = 64
 # Between passes, still-moving seeds closer than this share of
 # merge_tolerance are folded into one row.
 _FOLD_FRACTION = 0.1
-# A row of _shift_rows whose total weight falls below this is recomputed
+# A row of _kernel_sums whose total weight falls below this is recomputed
 # with its row max subtracted.
 _TOTAL_FLOOR = 1e-100
-# The stride-1 first pass forms its weights in strips of _SEED_BLOCK rows
-# by this many columns, 512 KiB that stay in L2. On a 2-vCPU guest at
-# 11 648 points the pass took 0.29 s on one thread, against 0.35 to 0.40 s
-# with strips as wide as the point set and 0.37 to 0.45 s for two products
-# per block on two threads.
+# _kernel_sums forms its weights in strips of _SEED_BLOCK rows by this many
+# points, 512 KiB that stay in L2. On a 2-vCPU guest, one pass of all
+# 11 648 points against themselves took 0.26 to 0.27 s on one thread,
+# against 0.35 to 0.36 s with strips as wide as the point set.
 _STRIP_COLUMNS = 1024
 
 
@@ -158,31 +159,50 @@ def flatten_foreground(
 
 
 def _augment(x_points: np.ndarray) -> np.ndarray:
-    """The operand [x | 1] that _shift_rows multiplies against."""
+    """The operand [x | 1] that _kernel_sums multiplies against."""
     return np.hstack([x_points, np.ones((x_points.shape[0], 1))])
 
 
-def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
-    """One kernel-weighted mean-direction update of each row of cur.
+def _kernel_sums(cur: np.ndarray, a: np.ndarray, kappa: float, symmetric: bool = False):
+    """The weighted sums [sum_j w_j x_j | sum_j w_j] of each row y of cur.
 
-    a is _augment(x_points). Each row y is scaled to [kappa*y, -kappa], so
-    one matrix product gives the exponents kappa*(<x_j, y> - 1) and
-    w = exp(...) needs no row max: for unit rows every weight is at most 1
-    and cannot overflow. The second product w @ a returns the weighted sum
-    and, in its last column, the total weight, and _finish_rows turns the
-    sums into unit rows. The weights overwrite the exponents in place:
-    fresh rows x n buffers on every step cost page faults whenever the
-    allocator has returned the last ones to the system.
+    a is _augment(x_points) and w_j = exp(kappa * (<x_j, y> - 1)). Each
+    block of _SEED_BLOCK rows is scaled to [kappa*y, -kappa], so one matrix
+    product gives the exponents and w = exp(...) needs no row max: for unit
+    rows every weight is at most 1 and cannot overflow. The block meets the
+    points _STRIP_COLUMNS at a time in one reused buffer, and the product
+    of a strip's weights with its rows of a adds to the block's sums.
+
+    symmetric=True says that cur is x_points itself, so w_ij = w_ji. Then
+    each block's strips start at its own first row, and the transposed
+    product of a strip with the block's rows of a adds to the sums of the
+    later rows, so each weight is exponentiated once instead of twice. An
+    inf or NaN weight spreads into the totals it touches and leaves those
+    rows to _finish_rows' fallback. Memory is the rows x (D+1) sums plus
+    the strip buffers.
     """
-    d = cur.shape[1]
-    q = np.empty((cur.shape[0], d + 1))
-    np.multiply(cur, kappa, out=q[:, :d])
-    q[:, d] = -kappa
-    w = q @ a.T
-    with np.errstate(over="ignore", invalid="ignore"):  # inf weights: recomputed below
-        np.exp(w, out=w)
-        s = w @ a
-    return _finish_rows(s, cur, a, kappa)
+    m, n, d = cur.shape[0], a.shape[0], cur.shape[1]
+    s = np.zeros((m, d + 1))
+    q = np.empty((_SEED_BLOCK, d + 1))
+    strip = np.empty(min(m, _SEED_BLOCK) * min(n, _STRIP_COLUMNS))
+    later = np.empty((min(n, _STRIP_COLUMNS), d + 1))  # the transposed products, in place
+    with np.errstate(over="ignore", invalid="ignore"):  # inf weights: recomputed later
+        for i0 in range(0, m, _SEED_BLOCK):
+            i1 = min(i0 + _SEED_BLOCK, m)
+            b = i1 - i0
+            np.multiply(cur[i0:i1], kappa, out=q[:b, :d])
+            q[:b, d] = -kappa
+            for j0 in range(i0 if symmetric else 0, n, _STRIP_COLUMNS):
+                j1 = min(j0 + _STRIP_COLUMNS, n)
+                w = strip[: b * (j1 - j0)].reshape(b, j1 - j0)
+                np.matmul(q[:b], a[j0:j1].T, out=w)
+                np.exp(w, out=w)
+                s[i0:i1] += w @ a[j0:j1]
+                if symmetric:
+                    k0 = max(j0, i1)  # the first strip holds the block's own columns
+                    np.matmul(w[:, k0 - j0 :].T, a[i0:i1], out=later[: j1 - k0])
+                    s[k0:j1] += later[: j1 - k0]
+    return s
 
 
 def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
@@ -213,45 +233,9 @@ def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
     return s / safe[:, None], bad
 
 
-def _symmetric_sums(a: np.ndarray, kappa: float) -> np.ndarray:
-    """The sums _shift_rows forms for every row of a, each weight once.
-
-    Row i is [sum_j w_ij x_j | sum_j w_ij] over the rows x_j of
-    a = _augment(x_points), with w_ij = exp(kappa * (<x_i, x_j> - 1)) = w_ji.
-    Each block I of _SEED_BLOCK rows forms its weights against the rows from
-    I on, _STRIP_COLUMNS columns J at a time, in one reused buffer. The
-    product of a strip with the rows J adds to the sums of I, and its
-    transpose times the rows of I adds to the sums of the rows of J past I,
-    so each weight is exponentiated once instead of twice. An inf or NaN
-    weight spreads into both rows' totals and leaves them to _finish_rows'
-    fallback. Memory is the n x (D+1) sums plus the strip buffer.
-    """
-    n, d = a.shape[0], a.shape[1] - 1
-    s = np.zeros((n, d + 1))
-    q = np.empty((_SEED_BLOCK, d + 1))
-    # Sized like a full-width strip, though a strip fills only its first
-    # _SEED_BLOCK x _STRIP_COLUMNS: freeing it raises glibc malloc's mmap
-    # threshold as a pass of _shift_rows does, so the fold and later passes
-    # share one heap region. One strip's size left dense-128's peak RSS 3 MB
-    # higher.
-    flat = np.empty(_SEED_BLOCK * n)
-    later = np.empty((_STRIP_COLUMNS, d + 1))  # the transposed products, in place
-    with np.errstate(over="ignore", invalid="ignore"):  # inf weights: recomputed later
-        for i0 in range(0, n, _SEED_BLOCK):
-            i1 = min(i0 + _SEED_BLOCK, n)
-            b = i1 - i0
-            np.multiply(a[i0:i1, :d], kappa, out=q[:b, :d])
-            q[:b, d] = -kappa
-            for j0 in range(i0, n, _STRIP_COLUMNS):
-                j1 = min(j0 + _STRIP_COLUMNS, n)
-                w = flat[: b * (j1 - j0)].reshape(b, j1 - j0)
-                np.matmul(q[:b], a[j0:j1].T, out=w)
-                np.exp(w, out=w)
-                s[i0:i1] += w @ a[j0:j1]
-                k0 = max(j0, i1)  # the first strip holds I's own columns
-                np.matmul(w[:, k0 - j0 :].T, a[i0:i1], out=later[: j1 - k0])
-                s[k0:j1] += later[: j1 - k0]
-    return s
+def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
+    """One kernel-weighted mean-direction update of each row of cur: (new, bad)."""
+    return _finish_rows(_kernel_sums(cur, a, kappa), cur, a, kappa)
 
 
 def vmf_shift_step(x_points: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
@@ -335,7 +319,7 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     """Iterate strided seeds to their modes and merge coinciding directions.
 
     All seeds are iterated jointly: each pass shifts every still-moving row
-    once, _SEED_BLOCK rows at a time. Between passes, moving rows within
+    once, with one _kernel_sums call. Between passes, moving rows within
     _FOLD_FRACTION * merge_tolerance of an earlier kept moving row are
     folded into it (_fold_rows), and a row carries the count of original
     seeds it stands for; a folded seed shares its row's fate from then on.
@@ -350,12 +334,13 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     updates, folded rows once each.
 
     At seed_stride 1 the first pass sums each symmetric kernel weight once
-    (_symmetric_sums), so its results differ from _shift_rows' by rounding
-    only. Every search runs on one OpenBLAS thread, so its result does not
-    depend on the caller's thread count, and then restores that count. The
-    count is process-wide, so this is not safe to call concurrently from
-    several Python threads that also use BLAS: their products can run on
-    one thread, and overlapping calls can leave the count at 1.
+    (_kernel_sums with symmetric=True), so its results differ from
+    _shift_rows' by rounding only. Every search runs on one OpenBLAS
+    thread, so its result does not depend on the caller's thread count,
+    and then restores that count. The count is process-wide, so this is
+    not safe to call concurrently from several Python threads that also
+    use BLAS: their products can run on one thread, and overlapping calls
+    can leave the count at 1.
     """
     if x_points.ndim != 2 or x_points.shape[0] == 0:
         raise ValueError("point matrix must be non-empty (n, D)")
@@ -366,27 +351,19 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     moving = np.arange(pts.shape[0])
     cos_fold = math.cos(_FOLD_FRACTION * cfg.merge_tolerance)
     passes = row_updates = 0
-    # At stride 1 the first pass shifts every point against every point.
-    first = _symmetric_sums(a, cfg.kappa) if cfg.seed_stride == 1 else None
     for it in range(cfg.max_iters):
         if it:
-            first = None  # released before pass 2
             moving = _fold_rows(pts, moving, weight, cos_fold)
         passes += 1
         row_updates += moving.size
-        still = np.zeros(moving.size, dtype=bool)
-        for i in range(0, moving.size, _SEED_BLOCK):
-            blk = moving[i : i + _SEED_BLOCK]
-            cur = pts[blk]
-            if first is None:
-                new, bad = _shift_rows(cur, a, cfg.kappa)
-            else:
-                new, bad = _finish_rows(first[blk], cur, a, cfg.kappa)
-            moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
-            pts[blk[~bad]] = new[~bad]
-            dropped[blk[bad]] = True
-            still[i : i + blk.size] = ~(bad | (moved < cfg.shift_tolerance))
-        moving = moving[still]
+        cur = pts[moving]
+        # At stride 1 the first pass shifts every point against every point.
+        sums = _kernel_sums(cur, a, cfg.kappa, it == 0 and cfg.seed_stride == 1)
+        new, bad = _finish_rows(sums, cur, a, cfg.kappa)
+        moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
+        pts[moving[~bad]] = new[~bad]
+        dropped[moving[bad]] = True
+        moving = moving[~(bad | (moved < cfg.shift_tolerance))]
         if moving.size == 0:
             break
     n_unconverged = int(weight[moving].sum())
@@ -445,10 +422,9 @@ def assign_to_modes(
         empty = np.zeros((0, modes.shape[1]))
         return ClusterResult(empty, Grid2D(grid), 0, np.zeros(0, dtype=np.int64))
 
-    new_pos = np.cumsum(keep) - 1  # old mode index -> surviving index
+    # A pixel whose nearest mode survives picks that same mode here too.
     survivors = np.flatnonzero(keep)
-    nearest_surv = np.argmax(dots[:, survivors], axis=1)
-    final = np.where(keep[assign], new_pos[assign], nearest_surv)
+    final = np.argmax(dots[:, survivors], axis=1)
     grid.ravel()[pixels] = final
     basin = np.bincount(final, minlength=survivors.size)
     return ClusterResult(modes[survivors], Grid2D(grid), int(survivors.size), basin)

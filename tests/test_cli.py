@@ -230,7 +230,7 @@ class TestCluster:
         assert "cluster.merge_tolerance" in caplog.text
         assert list(out.iterdir()) == []
 
-    def test_out_independent_of_blas_threads_above_the_gate(self, tmp_path):
+    def test_out_independent_of_blas_threads_at_4133_points(self, tmp_path):
         from instance_embed import BinaryMask
 
         # 4133 mask pixels at stride 5, and 4133 % 32 == 5: OpenBLAS 0.3.31
@@ -472,8 +472,8 @@ class TestPipeline:
         assert float(found[3]) == pytest.approx(100.0 * unconverged / seeds, abs=0.05)
 
     @pytest.mark.parametrize("doc", [
-        # Stride 1 iterates every foreground point, so each mean-shift block
-        # is a full 64-row product against the whole point matrix.
+        # Stride 1 iterates every foreground point, so the first mean-shift
+        # pass is the symmetric sweep.
         {
             "scene": {"num_instances": 3, "seed": 6},
             "optimizer": {"max_steps": 150, "step_size": 40.0, "seed": 6},
@@ -494,7 +494,7 @@ class TestPipeline:
             "optimizer": {"seed": 6},
             "cluster": {"seed_stride": 1},
         },
-    ], ids=["stride1", "grad_norm", "above_gate"])
+    ], ids=["stride1", "grad_norm", "stride1_96x96"])
     def test_out_tree_independent_of_blas_threads(self, tmp_path, doc):
         cfg = _write_config(tmp_path, doc)
         for threads in ("1", "2"):

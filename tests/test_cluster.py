@@ -26,13 +26,14 @@ from instance_embed import (
 from instance_embed import _blas, clustering, fileio
 from instance_embed.cli import main
 from instance_embed.clustering import (
+    _STRIP_COLUMNS,
     _TOTAL_FLOOR,
     _augment,
     _finish_rows,
     _fold_rows,
+    _kernel_sums,
     _shift_rows,
     _single_linkage,
-    _symmetric_sums,
 )
 
 from _oracles import oracle_kde, oracle_mean_shift, oracle_single_linkage, oracle_vmf_step
@@ -186,12 +187,19 @@ class TestShiftKernel:
     @pytest.mark.parametrize("d", [2, 3, 8])
     @pytest.mark.parametrize("kappa", [0.5, 10.0, 50.0, 350.0, 3000.0])
     def test_random_blocks_match_oracle(self, d, kappa):
-        for seed in range(3):
+        for seed in range(4):
             rng = np.random.default_rng(100 * d + seed)
             x_points = _bundle_set(rng, d)
+            if seed == 3:
+                # three strips of points, the last one partial, in one tight
+                # bundle that the far rows of off fall back from at kappa 3000
+                n = 2 * _STRIP_COLUMNS + 300
+                x_points = _bundle(rng, _unit(rng.standard_normal(d)), n, 0.05, d)
             off = rng.standard_normal((10, d))
             off /= np.linalg.norm(off, axis=1, keepdims=True)
             cur = np.concatenate([x_points[rng.choice(x_points.shape[0], 10)], off])
+            if seed == 3 and kappa == 3000.0:
+                assert _falls_back(cur, x_points, kappa).any()
             new, bad = _shift_rows(cur, _augment(x_points), kappa)
             assert not bad.any()
             for r in range(cur.shape[0]):
@@ -200,10 +208,8 @@ class TestShiftKernel:
 
 
 def _one_step(x_points, kappa):
-    """Every point's one-step _shift_rows update, 64 rows at a time."""
-    a = _augment(x_points)
-    blocks = [_shift_rows(x_points[i : i + 64], a, kappa) for i in range(0, len(x_points), 64)]
-    return np.concatenate([new for new, _ in blocks]), np.concatenate([bad for _, bad in blocks])
+    """Every point's one-step _shift_rows update: (new, bad)."""
+    return _shift_rows(x_points, _augment(x_points), kappa)
 
 
 class TestSymmetricFirstPass:
@@ -211,12 +217,17 @@ class TestSymmetricFirstPass:
 
     @staticmethod
     def _first_pass(monkeypatch, x_points, kappa):
-        # every point's own mode after one pass, with no _shift_rows call
+        # every point's own mode after one pass, from one symmetric sweep
         calls = []
-        monkeypatch.setattr(clustering, "_shift_rows", lambda *args: calls.append(args))
+
+        def recording(cur, a, kappa, symmetric=False):
+            calls.append(symmetric)
+            return _kernel_sums(cur, a, kappa, symmetric)
+
+        monkeypatch.setattr(clustering, "_kernel_sums", recording)
         cfg = VmfConfig(kappa=kappa, seed_stride=1, max_iters=1, merge_tolerance=1e-9)
         search = mean_shift_modes(x_points, cfg)
-        assert not calls
+        assert calls == [True]
         assert search.modes.shape == x_points.shape and search.dropped_seeds == 0
         return search.modes
 
@@ -252,7 +263,7 @@ class TestSymmetricFirstPass:
         x[:70] *= 3.0
         assert not _falls_back(x[70:], x[70:], 1000.0).any()
         a = _augment(x)
-        sums = _symmetric_sums(a, 1000.0)
+        sums = _kernel_sums(x, a, 1000.0, symmetric=True)
         assert not np.isfinite(sums[70:, -1]).any()
         got, bad = _finish_rows(sums, x, a, 1000.0)
         want, want_bad = _one_step(x, 1000.0)
@@ -435,22 +446,21 @@ class TestBlasThreadPolicy:
             assert get() == 2
         assert get() == 2
 
-    # Every search runs on one thread, whatever its size (3000 and 5000
-    # points sit either side of the 4096 the name refers to) and stride.
+    # Every search runs on one thread, whatever its size and stride.
     @pytest.mark.parametrize("n, stride", [(3000, 1), (5000, 2)])
-    def test_shift_runs_on_one_thread_below_the_gate(self, monkeypatch, n, stride):
+    def test_search_runs_on_one_thread(self, monkeypatch, n, stride):
         seen = []
 
-        def recording(cur, a, kappa):
+        def recording(cur, a, kappa, symmetric=False):
             seen.append(_threads())
-            return _shift_rows(cur, a, kappa)
+            return _kernel_sums(cur, a, kappa, symmetric)
 
-        monkeypatch.setattr(clustering, "_shift_rows", recording)
+        monkeypatch.setattr(clustering, "_kernel_sums", recording)
         mean_shift_modes(_bundled_points(n), VmfConfig(seed_stride=stride, merge_tolerance=0.5))
         assert seen and set(seen) == {1}
         assert _threads() == 2
 
-    def test_stride_one_runs_on_one_thread_above_the_gate(self):
+    def test_every_stride_one_pass_runs_on_one_thread(self):
         seen = []
 
         def recording(fn):
@@ -462,11 +472,11 @@ class TestBlasThreadPolicy:
         x = _bundled_points(5000, seed=6)
         cfg = VmfConfig(merge_tolerance=0.5, max_iters=3)
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_symmetric_sums", "_shift_rows"):
+            for name in ("_kernel_sums", "_finish_rows"):
                 mp.setattr(clustering, name, recording(getattr(clustering, name)))
             two = mean_shift_modes(x, cfg)
         assert two.passes > 1
-        assert {name for name, _ in seen} == {"_symmetric_sums", "_shift_rows"}
+        assert [name for name, _ in seen] == ["_kernel_sums", "_finish_rows"] * two.passes
         assert {threads for _, threads in seen} == {1}
         assert _threads() == 2
         with _blas.single_thread():
