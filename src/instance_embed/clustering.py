@@ -23,6 +23,17 @@ shifts every point against every point, so its weights are symmetric: the
 same kernel then sweeps the upper triangle only and adds each weight to
 both rows' sums.
 
+Besides the caller's points, a pass holds the seeds, [x | 1], the moving
+rows' copy (none while every row moves) and their sums, which the new
+directions overwrite; the fold holds one copy of the kept rows. Each pass
+frees its copies before the next fold, and both pass and fold work in
+_SEED_BLOCK x _STRIP_COLUMNS strips, so passes and folds hold a few point
+matrices plus fixed-size strips. On the 128x128 four-stripe field of scene
+seed 1000 (11 648 lifted rows of 9 coordinates, 0.8 MB) the traced peak of
+mean_shift_modes is 3.5 MB, and on a 256x256 four-stripe field (scene seed
+5000, 47 104 rows, 3.2 MB) it is 15.8 MB; a fold against every kept row at
+once peaked at 8.2 and 50.4 MB.
+
 The merge is single linkage over the seed endpoints. It is found by a
 breadth-first search that expands a whole frontier at once, in blocks of
 rows against the still unlabelled endpoints, so its memory is bounded by
@@ -49,10 +60,11 @@ _FOLD_FRACTION = 0.1
 # A row of _kernel_sums whose total weight falls below this is recomputed
 # with its row max subtracted.
 _TOTAL_FLOOR = 1e-100
-# _kernel_sums forms its weights in strips of _SEED_BLOCK rows by this many
-# points, 512 KiB that stay in L2. On a 2-vCPU guest, one pass of all
-# 11 648 points against themselves took 0.26 to 0.27 s on one thread,
-# against 0.35 to 0.36 s with strips as wide as the point set.
+# _kernel_sums forms its weights, and _fold_rows its cosines, in strips of
+# _SEED_BLOCK rows by this many points, 512 KiB that stay in L2. On a
+# 2-vCPU guest, one pass of all 11 648 points against themselves took 0.26
+# to 0.27 s on one thread, against 0.35 to 0.36 s with strips as wide as
+# the point set.
 _STRIP_COLUMNS = 1024
 
 
@@ -213,9 +225,10 @@ def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
     again on its own with its largest dot subtracted inside the
     exponential, which rescales sum and total alike. The floor also keeps
     the squared norm of a sum that is not degenerate clear of float64
-    underflow. s is overwritten.
+    underflow.
 
-    Returns (new, bad): the renormalized weighted means, and the rows whose
+    Returns (new, bad): the renormalized weighted means, written over the
+    first D columns of s and returned as a view of them, and the rows whose
     weighted sum has near-zero norm relative to the total weight (exactly
     antipodal mass cancels). Bad rows of new are the unnormalized sums.
     """
@@ -229,13 +242,13 @@ def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
     s, total = s[:, :d], s[:, d]
     norms = np.sqrt(np.einsum("ij,ij->i", s, s))
     bad = norms < 1e-12 * total
-    safe = np.where(bad, 1.0, norms)
-    return s / safe[:, None], bad
+    s /= np.where(bad, 1.0, norms)[:, None]
+    return s, bad
 
 
-def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
+def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float, symmetric: bool = False):
     """One kernel-weighted mean-direction update of each row of cur: (new, bad)."""
-    return _finish_rows(_kernel_sums(cur, a, kappa), cur, a, kappa)
+    return _finish_rows(_kernel_sums(cur, a, kappa, symmetric), cur, a, kappa)
 
 
 def vmf_shift_step(x_points: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
@@ -286,20 +299,30 @@ def _fold_rows(pts: np.ndarray, rows: np.ndarray, weight: np.ndarray, cos_fold: 
     Each of rows (ascending) is kept unless its cosine with an earlier kept
     row is at least cos_fold; then its weight is added to the first such
     row and its own weight set to 0. Rows are compared _SEED_BLOCK at a time
-    against the rows kept so far, so memory grows as _SEED_BLOCK x kept
-    rows. Returns the kept rows, ascending.
+    against the rows kept so far, _STRIP_COLUMNS kept rows at a time in one
+    reused buffer, and a block stops scanning once each of its rows has its
+    leader. So beyond the copy of the kept rows, memory is bounded by
+    _SEED_BLOCK x _STRIP_COLUMNS, not _SEED_BLOCK x kept rows. Returns the
+    kept rows, ascending.
     """
     kept = np.empty(rows.size, dtype=np.int64)
     kept_pts = np.empty((rows.size, pts.shape[1]))
+    strip = np.empty(min(rows.size, _SEED_BLOCK) * min(rows.size, _STRIP_COLUMNS))
     n_kept = 0
     for i in range(0, rows.size, _SEED_BLOCK):
         blk = rows[i : i + _SEED_BLOCK]
         cur = pts[blk]
-        taken = np.zeros(blk.size, dtype=bool)
-        if n_kept:
-            near = cur @ kept_pts[:n_kept].T >= cos_fold
-            taken = near.any(axis=1)
-            np.add.at(weight, kept[near.argmax(axis=1)[taken]], weight[blk[taken]])
+        leader = np.full(blk.size, -1)  # index into kept of each row's first near row
+        for j0 in range(0, n_kept, _STRIP_COLUMNS):
+            j1 = min(j0 + _STRIP_COLUMNS, n_kept)
+            dots = strip[: blk.size * (j1 - j0)].reshape(blk.size, j1 - j0)
+            near = np.matmul(cur, kept_pts[j0:j1].T, out=dots) >= cos_fold
+            hit = near.any(axis=1) & (leader < 0)
+            leader[hit] = j0 + near[hit].argmax(axis=1)
+            if leader.min() >= 0:
+                break
+        taken = leader >= 0
+        np.add.at(weight, kept[leader[taken]], weight[blk[taken]])
         later = np.triu(cur @ cur.T >= cos_fold, 1)
         for r in np.flatnonzero(later.any(axis=1) & ~taken):
             if not taken[r]:
@@ -334,8 +357,8 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
     updates, folded rows once each.
 
     At seed_stride 1 the first pass sums each symmetric kernel weight once
-    (_kernel_sums with symmetric=True), so its results differ from
-    _shift_rows' by rounding only. Every search runs on one OpenBLAS
+    (_shift_rows with symmetric=True), so its results differ from the
+    plain kernel's by rounding only. Every search runs on one OpenBLAS
     thread, so its result does not depend on the caller's thread count,
     and then restores that count. The count is process-wide, so this is
     not safe to call concurrently from several Python threads that also
@@ -356,14 +379,15 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
             moving = _fold_rows(pts, moving, weight, cos_fold)
         passes += 1
         row_updates += moving.size
-        cur = pts[moving]
+        # moving is ascending, so when every row moves it is all of pts.
+        cur = pts if moving.size == pts.shape[0] else pts[moving]
         # At stride 1 the first pass shifts every point against every point.
-        sums = _kernel_sums(cur, a, cfg.kappa, it == 0 and cfg.seed_stride == 1)
-        new, bad = _finish_rows(sums, cur, a, cfg.kappa)
+        new, bad = _shift_rows(cur, a, cfg.kappa, it == 0 and cfg.seed_stride == 1)
         moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
-        pts[moving[~bad]] = new[~bad]
+        pts[moving] = new  # a bad row is dropped, and its row of pts never read again
         dropped[moving[bad]] = True
         moving = moving[~(bad | (moved < cfg.shift_tolerance))]
+        del cur, new  # this pass's copies go before the next fold allocates
         if moving.size == 0:
             break
     n_unconverged = int(weight[moving].sum())

@@ -110,11 +110,12 @@ def write_embf(path, values: np.ndarray) -> None:
         raise FormatError(f"EMBF needs an (H, W, D) array, got ndim {arr.ndim}")
     h, w, d = arr.shape
     with np.errstate(over="ignore"):
-        payload = arr.astype("<f4")
+        payload = arr.astype("<f4", order="C")  # row-major: the file takes this buffer as is
     if not np.all(np.isfinite(payload)):
         raise FormatError("values do not fit the float32 range of the format")
-    header = _EMBF_MAGIC + struct.pack("<III", h, w, d)
-    Path(path).write_bytes(header + payload.tobytes())
+    with open(path, "wb") as f:
+        f.write(_EMBF_MAGIC + struct.pack("<III", h, w, d))
+        f.write(payload.data)
 
 
 def read_embf(path) -> np.ndarray:

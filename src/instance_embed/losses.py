@@ -92,7 +92,11 @@ def _plan_labels(label_values: np.ndarray, d: int) -> _LabelPlan:
     c = int(labels_flat.max(initial=0))
     if c == 0:
         raise EmptyInstance("label map has no foreground instances")
-    counts = np.bincount(labels_flat, minlength=c + 1)
+    n = labels_flat.size
+    # At most n IDs own pixels, so with c > n some ID in 1..n is empty:
+    # count only the IDs up to n rather than allocate c + 1 bins.
+    counts = np.bincount(labels_flat[labels_flat <= n] if c > n else labels_flat,
+                         minlength=min(c, n) + 1)
     sizes = counts[1:]
     if (sizes == 0).any():
         missing = int(np.flatnonzero(sizes == 0)[0]) + 1

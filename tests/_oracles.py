@@ -425,6 +425,24 @@ def oracle_single_linkage(pts: np.ndarray, tol: float) -> np.ndarray:
     return comp
 
 
+def oracle_fold_rows(pts: np.ndarray, rows, weight: np.ndarray, cos_fold: float) -> np.ndarray:
+    """Greedy leader scan, one row at a time: (kept rows), weight updated.
+
+    Each row in order joins the first kept row whose cosine with it is at
+    least cos_fold, adding its weight there and keeping 0; a row that joins
+    none is kept.
+    """
+    kept = []
+    for r in rows:
+        near = np.flatnonzero(pts[kept] @ pts[r] >= cos_fold)
+        if near.size:
+            weight[kept[near[0]]] += weight[r]
+            weight[r] = 0
+        else:
+            kept.append(int(r))
+    return np.array(kept, dtype=np.int64)
+
+
 def oracle_mean_shift(x_points: np.ndarray, kappa: float, max_iters: int,
                       shift_tolerance: float, merge_tolerance: float, seed_stride: int):
     """Uncollapsed mean shift: (modes, basin_seeds, dropped, unconverged).

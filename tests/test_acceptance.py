@@ -181,8 +181,12 @@ def _mean_instance_iou(gt: np.ndarray, pred: np.ndarray, count: int,
 
 
 def test_pipeline_recovers_instances(verdict):
-    """100 seeded 64x64 scenes across all layouts and 1..4 instances."""
-    t0 = time.monotonic()
+    """100 seeded 64x64 scenes across all layouts and 1..4 instances.
+
+    The time gate reads this process's CPU time, so other processes that
+    share the CPUs cannot fail it; the verdict line gives wall seconds.
+    """
+    t0, cpu0 = time.monotonic(), time.process_time()
     ok_recovery = 0
     ok_map50 = 0
     loss_cfg = DiscriminativeConfig()
@@ -201,14 +205,14 @@ def test_pipeline_recovers_instances(verdict):
                                     scene.labels)
         if m50 == 1.0:
             ok_map50 += 1
-    elapsed = time.monotonic() - t0
-    ok = ok_recovery >= 95 and ok_map50 >= 90 and elapsed < 300.0
+    elapsed, cpu = time.monotonic() - t0, time.process_time() - cpu0
+    ok = ok_recovery >= 95 and ok_map50 >= 90 and cpu < 300.0
     verdict(3, "pipeline instance recovery", ok,
             f"count+IoU {ok_recovery}/100 (need 95), map50 {ok_map50}/100 "
             f"(need 90), {elapsed:.0f}s")
     assert ok_recovery >= 95
     assert ok_map50 >= 90
-    assert elapsed < 300.0
+    assert cpu < 300.0
 
 
 # ---------------------------------------------------------------------------

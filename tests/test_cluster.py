@@ -36,7 +36,13 @@ from instance_embed.clustering import (
     _single_linkage,
 )
 
-from _oracles import oracle_kde, oracle_mean_shift, oracle_single_linkage, oracle_vmf_step
+from _oracles import (
+    oracle_fold_rows,
+    oracle_kde,
+    oracle_mean_shift,
+    oracle_single_linkage,
+    oracle_vmf_step,
+)
 
 
 def _unit(v):
@@ -546,6 +552,47 @@ class TestSeedCollapse:
         np.testing.assert_array_equal(kept, np.arange(0, 130, 3))
         np.testing.assert_array_equal(weight[kept], [3] * 43 + [1])
         assert weight.sum() == 130
+
+    def test_fold_past_the_first_strip_matches_greedy_scan(self):
+        # Leaders 0.004 rad apart on a circle, in shuffled order, with a
+        # 0.003 rad fold: none folds into another, and the kept leaders span
+        # two strips. The rows after them sit midway between two leaders
+        # (they join the one kept first), 0.0005 rad from a leader past the
+        # first strip, or beyond the last leader, where they lead or join
+        # each other. No cosine lies within 1e-6 of the fold's.
+        rng = np.random.default_rng(5)
+        n_lead = _STRIP_COLUMNS + 476
+        slot = rng.permutation(n_lead)  # leader i sits at angle 0.004 * slot[i]
+        mid = 0.004 * rng.integers(0, n_lead - 1, 300) + 0.002
+        late = 0.004 * slot[rng.integers(_STRIP_COLUMNS, n_lead, 300)]
+        late += rng.choice([-0.0005, 0.0005], 300)
+        beyond = 0.004 * n_lead + 0.0025 * rng.integers(0, 40, 100)
+        theta = np.concatenate([0.004 * slot, rng.permutation(np.concatenate([mid, late, beyond]))])
+        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        start = rng.integers(1, 6, theta.size)
+        weight, want_weight = start.copy(), start.copy()
+        kept = _fold_rows(pts, np.arange(theta.size), weight, np.cos(0.003))
+        want = oracle_fold_rows(pts, range(theta.size), want_weight, np.cos(0.003))
+        np.testing.assert_array_equal(kept, want)
+        np.testing.assert_array_equal(weight, want_weight)
+        # rows did join leaders that only the second strip holds
+        assert (weight[_STRIP_COLUMNS:n_lead] > start[_STRIP_COLUMNS:n_lead]).sum() > 100
+
+    def test_memory_bounded_by_point_copies(self):
+        # Four broad bundles in D = 9 that the fold shrinks over several
+        # passes. Folding each 64-row block against all kept rows at once
+        # would take 64 x 8192 doubles, 7 times the point matrix, on top of
+        # the search's own copies.
+        rng = np.random.default_rng(23)
+        x = np.concatenate([_bundle(rng, c, 2048, 0.2, 9) for c in np.eye(9)[:4]])
+        tracemalloc.start()
+        try:
+            search = mean_shift_modes(x, VmfConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert search.basin_seeds.size == 4 and search.basin_seeds.sum() == 8192
+        assert peak < 8 * x.nbytes
 
     def test_memory_bounded_by_block_rows(self):
         # 20000 seeds and points in D = 8: one dense seeds x points kernel

@@ -1,5 +1,6 @@
 """Round trips and format edge cases for every file format."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ class TestEmbf:
         assert back.dtype == np.float64
         np.testing.assert_array_equal(back, blob)
 
+    def test_round_trip_of_a_strided_view(self, tmp_path):
+        blob = np.arange(24, dtype=np.float64).reshape(3, 4, 2).transpose(1, 0, 2)
+        p = tmp_path / "e.embf"
+        fileio.write_embf(p, blob)
+        np.testing.assert_array_equal(fileio.read_embf(p), blob)
+
     def test_header_layout(self, tmp_path):
         p = tmp_path / "e.embf"
         fileio.write_embf(p, np.zeros((2, 3, 4)))
@@ -88,6 +95,20 @@ class TestEmbf:
         assert int.from_bytes(raw[8:12], "little") == 3
         assert int.from_bytes(raw[12:16], "little") == 4
         assert len(raw) == 16 + 2 * 3 * 4 * 4
+
+    def test_write_takes_no_payload_sized_copies(self, tmp_path):
+        # the float32 payload is the one copy a write needs; a bytes copy
+        # of it, or of header + payload, would each add another
+        blob = np.random.default_rng(1).standard_normal((256, 256, 8))
+        p = tmp_path / "e.embf"
+        payload_bytes = blob.size * 4
+        tracemalloc.start()
+        try:
+            fileio.write_embf(p, blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload_bytes
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "e.embf"

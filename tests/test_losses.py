@@ -138,6 +138,18 @@ class TestStructure:
             discriminative_loss(emb, labels, DiscriminativeConfig())
         assert "2" in str(err.value)
 
+    @pytest.mark.parametrize("grid, missing", [
+        ([[0, 1], [1, 2**40]], 2),
+        ([[1, 2], [3, 2**40]], 4),
+        ([[2, 2], [5, 2**62]], 1),
+    ])
+    def test_huge_id_raises_before_allocating(self, grid, missing):
+        # 2**40 bins would take 8 TiB; an ID above the pixel count leaves
+        # some ID up to the pixel count empty, and that one is named
+        emb = EmbeddingField(np.zeros((2, 2, 2)))
+        with pytest.raises(EmptyInstance, match=f"instance ID {missing} "):
+            discriminative_loss(emb, LabelMap(np.array(grid)), DiscriminativeConfig())
+
 
 def _layout(kind, rng, c, h=9, w=11):
     """A label map with IDs 1..c all present: random, interleaved or blocky."""
