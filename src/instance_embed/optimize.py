@@ -28,12 +28,16 @@ class OptimizerConfig:
     gradient carries a 1/(C*n_c) factor, so useful steps on dense maps are
     much larger than 1. A positive loss_tolerance stops descent once the
     hinge part alpha*l_var + beta*l_dist is at or below it; the gamma*l_reg
-    term never reaches zero, so it is left out. 0.0 runs all max_steps.
+    term never reaches zero, so it is left out. The default 2.5e-5 is
+    (delta_v / 100)**2 at the default delta_v of 0.5: the hinge part when
+    every pixel's pull overshoots delta_v by 1% of delta_v and no push hinge
+    is active. On 234 seeded 64 to 96 px scenes the steps past it changed
+    no pixel's cluster at the default VmfConfig. 0.0 runs all max_steps.
     """
 
     step_size: float = 40.0
     max_steps: int = 600
-    loss_tolerance: float = 0.0
+    loss_tolerance: float = 2.5e-5
     seed: int = 0
 
     def __post_init__(self):

@@ -582,17 +582,19 @@ class TestSeedCollapse:
         # Four broad bundles in D = 9 that the fold shrinks over several
         # passes. Folding each 64-row block against all kept rows at once
         # would take 64 x 8192 doubles, 7 times the point matrix, on top of
-        # the search's own copies.
+        # the search's own copies. After one pass no seed has converged, so
+        # all 8192 rows reach the merge, which must stay as small.
         rng = np.random.default_rng(23)
         x = np.concatenate([_bundle(rng, c, 2048, 0.2, 9) for c in np.eye(9)[:4]])
-        tracemalloc.start()
-        try:
-            search = mean_shift_modes(x, VmfConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert search.basin_seeds.size == 4 and search.basin_seeds.sum() == 8192
-        assert peak < 8 * x.nbytes
+        for max_iters, n_modes in ((100, 4), (1, 581)):
+            tracemalloc.start()
+            try:
+                search = mean_shift_modes(x, VmfConfig(max_iters=max_iters))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert search.basin_seeds.size == n_modes and search.basin_seeds.sum() == 8192
+            assert peak < 8 * x.nbytes, max_iters
 
     def test_memory_bounded_by_block_rows(self):
         # 20000 seeds and points in D = 8: one dense seeds x points kernel
@@ -669,7 +671,9 @@ class TestSingleLinkage:
 
     def test_memory_bounded_by_block_rows(self):
         # four tight bundles of 5000 endpoints in D = 8: a dense angle matrix
-        # alone would take 20000^2 * 8 bytes = 3.2 GB
+        # alone would take 20000^2 * 8 bytes = 3.2 GB, and a copy of the
+        # unlabelled rows with a 64-row block against all of them 13 times
+        # the rows themselves
         rng = np.random.default_rng(13)
         centers = np.eye(8)[:4]
         x = np.concatenate([_bundle(rng, c, 5000, 0.01, 8) for c in centers])
@@ -680,7 +684,7 @@ class TestSingleLinkage:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(comp, np.repeat(np.arange(4), 5000))
-        assert peak < 64 * 2**20
+        assert peak < 2 * x.nbytes
 
 
 class TestAssignment:

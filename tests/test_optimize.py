@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from instance_embed import (
+    LAYOUTS,
     BinaryMask,
     DiscriminativeConfig,
     EmbeddingField,
@@ -10,9 +11,13 @@ from instance_embed import (
     LabelMap,
     NonFiniteLoss,
     OptimizerConfig,
+    SceneConfig,
+    VmfConfig,
+    cluster_field,
     discriminative_grad,
     discriminative_loss,
     flatten_foreground,
+    gen_scene,
     optimize_embeddings,
 )
 
@@ -198,3 +203,28 @@ class TestNormalizeField:
             x, lifted / np.linalg.norm(lifted, axis=1)[:, None], rtol=1e-12, atol=0
         )
         np.testing.assert_array_equal(emb.values, before)
+
+
+class TestDefaultStop:
+    @pytest.mark.parametrize("num_instances", [1, 2, 3, 4])
+    def test_default_tolerance_keeps_partition(self, num_instances):
+        # the default stop ends the descent once every pull is within 1% of
+        # delta_v; the remaining steps of a full run change no pixel's cluster
+        layout = LAYOUTS[num_instances % len(LAYOUTS)]
+        scene = gen_scene(SceneConfig(num_instances=num_instances, layout=layout, seed=1))
+        loss_cfg = DiscriminativeConfig()
+
+        def run(opt):
+            trace = optimize_embeddings(scene.labels, 8, loss_cfg, opt)
+            result, search = cluster_field(
+                trace.final, scene.drivable_mask, VmfConfig(), loss_cfg.delta_v
+            )
+            return trace, result, search
+
+        trace, result, search = run(OptimizerConfig(seed=1))
+        full, full_result, full_search = run(OptimizerConfig(loss_tolerance=0.0, seed=1))
+        assert trace.stop_reason == "loss_tolerance"
+        assert trace.steps_taken < OptimizerConfig().max_steps == full.steps_taken
+        assert result.num_clusters == full_result.num_clusters == num_instances
+        np.testing.assert_array_equal(result.assignment.values, full_result.assignment.values)
+        assert search.unconverged_seeds <= full_search.unconverged_seeds
