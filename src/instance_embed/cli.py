@@ -88,9 +88,9 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
     step_ms = 1000.0 * seconds / trace.steps_taken if trace.steps_taken else 0.0
     log.info(
         "optimized %d steps in %.3f s (%.3f ms/step), final total %s, "
-        "stop_reason %s, final_grad_norm %.3g",
+        "stop_reason %s, final_grad_norm %.3g, step %.6g",
         trace.steps_taken, seconds, step_ms, trace.breakdowns[-1].total,
-        trace.stop_reason, trace.final_grad_norm,
+        trace.stop_reason, trace.final_grad_norm, trace.step_size,
     )
 
 

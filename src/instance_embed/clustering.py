@@ -55,7 +55,10 @@ from .errors import DegenerateShift, DegenerateVector, EmptyForeground
 from .losses import DiscriminativeConfig
 
 # Seeds are shifted, folded and merge frontiers expanded in fixed-size
-# blocks, which bounds the block x n dot and angle matrices.
+# blocks, which bounds the block x n dot and angle matrices. The symmetric
+# _kernel_sums needs _SEED_BLOCK <= _STRIP_COLUMNS: a block's first strip
+# must hold the block's own columns, or its transposed product has a
+# negative width and matmul raises a shape error.
 _SEED_BLOCK = 64
 # Between passes, still-moving seeds closer than this share of
 # merge_tolerance are folded into one row.
@@ -67,7 +70,7 @@ _TOTAL_FLOOR = 1e-100
 # _SEED_BLOCK rows by this many points, 512 KiB that stay in L2. On a
 # 2-vCPU guest, one pass of all 11 648 points against themselves took 0.26
 # to 0.27 s on one thread, against 0.35 to 0.36 s with strips as wide as
-# the point set.
+# the point set. It must stay >= _SEED_BLOCK for the symmetric _kernel_sums.
 _STRIP_COLUMNS = 1024
 
 

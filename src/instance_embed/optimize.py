@@ -18,15 +18,20 @@ from .errors import NonFiniteLoss
 from .losses import DiscriminativeConfig, _gather, _plan_labels, _value_and_grad
 
 _INIT_SCALE = 1.0  # half-width of the uniform initial embeddings
+_REFERENCE_PIXELS = 64 * 64  # the canvas the default step_size was chosen on
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Fixed-step gradient-descent settings.
 
-    step_size scales with foreground pixel count: the pull term's per-pixel
-    gradient carries a 1/(C*n_c) factor, so useful steps on dense maps are
-    much larger than 1. A positive loss_tolerance stops descent once the
+    The pull term's per-pixel gradient carries a 1/(C*n_c) factor, so useful
+    steps are much larger than 1. The step taken is step_size times
+    max(1, C*n_min/4096), with C instances of which the smallest has n_min
+    pixels: that holds the fastest instance's pull rate,
+    2*alpha*step/(C*n_min), at its value on the 64x64 canvas (4096 pixels)
+    the default was chosen on. Maps with C*n_min <= 4096 step by exactly
+    step_size. A positive loss_tolerance stops descent once the
     hinge part alpha*l_var + beta*l_dist is at or below it; the gamma*l_reg
     term never reaches zero, so it is left out. The default 2.5e-5 is
     (delta_v / 100)**2 at the default delta_v of 0.5: the hinge part when
@@ -67,6 +72,7 @@ class OptimizationTrace:
     steps_taken: int
     stop_reason: str
     final_grad_norm: float
+    step_size: float
 
 
 def optimize_embeddings(
@@ -78,8 +84,9 @@ def optimize_embeddings(
     """Descend the discriminative loss from a seeded uniform initialization.
 
     Embeddings start uniform in [-1, +1] per coordinate.
-    Each step subtracts step_size times the analytic gradient; the breakdown
-    at initialization and after every update is recorded. Stops when a
+    Each step subtracts the step (step_size scaled by instance size, see
+    OptimizerConfig) times the analytic gradient; the breakdown at
+    initialization and after every update is recorded. Stops when a
     positive loss_tolerance is met by the hinge part alpha*l_var +
     beta*l_dist, or after max_steps updates, whichever comes first; a
     tolerance of 0.0 runs all max_steps. Only foreground rows move:
@@ -98,6 +105,8 @@ def optimize_embeddings(
     if not bd.finite():
         raise NonFiniteLoss("loss is not finite at initialization")
     tol = opt_cfg.loss_tolerance
+    scale = float(plan.counts.size * plan.counts.min()) / _REFERENCE_PIXELS
+    step = opt_cfg.step_size * max(1.0, scale)
 
     def separated(bd) -> bool:
         return tol > 0.0 and loss_cfg.alpha * bd.l_var + loss_cfg.beta * bd.l_dist <= tol
@@ -105,7 +114,7 @@ def optimize_embeddings(
     breakdowns = [bd]
     steps = 0
     while not separated(bd) and steps < opt_cfg.max_steps:
-        grad *= opt_cfg.step_size
+        grad *= step
         pts -= grad
         steps += 1
         if not np.all(np.isfinite(pts)):
@@ -119,4 +128,6 @@ def optimize_embeddings(
     # einsum, not np.linalg.norm: a multi-threaded ddot splits the sum by
     # thread count, and leaves an OpenBLAS worker spinning after it.
     grad_norm = math.sqrt(float(np.einsum("ij,ij->", grad, grad)))
-    return OptimizationTrace(tuple(breakdowns), EmbeddingField(field), steps, reason, grad_norm)
+    return OptimizationTrace(
+        tuple(breakdowns), EmbeddingField(field), steps, reason, grad_norm, step
+    )

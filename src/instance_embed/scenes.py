@@ -88,6 +88,10 @@ def _split_slack(rng: np.random.Generator, slack: int, slots: int) -> list:
 def gen_scene(cfg: SceneConfig) -> Scene:
     """Rasterize one scene; deterministic for a fixed config.
 
+    The fork layout fans its bands out from the bottom row, which needs at
+    least two bands: with num_instances 1, layout "fork" draws exactly the
+    parallel_stripes scene of the same config.
+
     Raises InfeasibleLayout when the bands plus required separations cannot
     fit inside the canvas.
     """

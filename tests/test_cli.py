@@ -430,7 +430,7 @@ class TestPipeline:
         assert runs["error"].stderr == ""
         assert re.search(
             r"optimized \d+ steps in [\d.]+ s \([\d.]+ ms/step\), final total \S+, "
-            r"stop_reason loss_tolerance, final_grad_norm \S+",
+            r"stop_reason loss_tolerance, final_grad_norm \S+, step 40\n",
             runs["info"].stderr,
         )
         found = re.search(

@@ -29,6 +29,21 @@ def _two_band_labels(h=16, w=16):
     return LabelMap(lab)
 
 
+def _large_bands():
+    # two 40x60 bands: C*n_min = 2*2400 = 4800 > 4096, a step scale of 75/64
+    lab = np.zeros((90, 64), dtype=np.int64)
+    lab[2:42, 2:62] = 1
+    lab[48:88, 2:62] = 2
+    return LabelMap(lab)
+
+
+def _speck_on_large_canvas():
+    # 128x128 with one 3-pixel instance: C*n_min = 3 <= 4096, so no scaling
+    lab = np.zeros((128, 128), dtype=np.int64)
+    lab[60, 70:73] = 1
+    return LabelMap(lab)
+
+
 class TestDeterminism:
     def test_same_seed_same_floats(self):
         labels = _two_band_labels()
@@ -77,19 +92,28 @@ class TestDescent:
         assert trace.breakdowns[-1].total == pytest.approx(recomputed.total, rel=1e-12)
 
     def test_matches_plain_descent_bit_for_bit(self):
-        # x <- x - step_size * grad(x) through the public loss and gradient
-        labels = _two_band_labels(8, 8)
+        # x <- x - step_size * max(1, C*n_min/4096) * grad(x) through the
+        # public loss and gradient
         loss_cfg = DiscriminativeConfig()
-        opt = OptimizerConfig(step_size=5.0, max_steps=12, seed=4)
-        trace = optimize_embeddings(labels, 3, loss_cfg, opt)
-        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 8, 3))
-        want = [discriminative_loss(EmbeddingField(x), labels, loss_cfg)]
-        for _ in range(opt.max_steps):
-            x = x - opt.step_size * discriminative_grad(EmbeddingField(x), labels, loss_cfg)
-            want.append(discriminative_loss(EmbeddingField(x), labels, loss_cfg))
-        assert trace.steps_taken == opt.max_steps
-        assert list(trace.breakdowns) == want
-        np.testing.assert_array_equal(trace.final.values, x)
+        opt = OptimizerConfig(step_size=5.0, max_steps=12, loss_tolerance=0.0, seed=4)
+        d = 3
+        cases = [
+            (_two_band_labels(8, 8), 1.0),
+            (_large_bands(), 4800 / 4096),
+            (_speck_on_large_canvas(), 1.0),
+        ]
+        for labels, scale in cases:
+            trace = optimize_embeddings(labels, d, loss_cfg, opt)
+            step = opt.step_size * scale
+            assert trace.step_size == step
+            x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(labels.height, labels.width, d))
+            want = [discriminative_loss(EmbeddingField(x), labels, loss_cfg)]
+            for _ in range(opt.max_steps):
+                x = x - step * discriminative_grad(EmbeddingField(x), labels, loss_cfg)
+                want.append(discriminative_loss(EmbeddingField(x), labels, loss_cfg))
+            assert trace.steps_taken == opt.max_steps
+            assert list(trace.breakdowns) == want
+            np.testing.assert_array_equal(trace.final.values, x)
 
 
 class TestStopping:
