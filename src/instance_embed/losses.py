@@ -154,9 +154,11 @@ def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
     l_dist = 0.0
     sep = h = None
     if c > 1:
-        gram = means @ means.T
-        sq = np.diag(gram)
-        sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
+        # Overflowed means give inf or nan here, and then l_dist is not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = means @ means.T
+            sq = np.diag(gram)
+            sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
         h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
         np.fill_diagonal(h, 0.0)
         l_dist = float((h * h).sum() / (c * (c - 1)))
@@ -169,7 +171,8 @@ def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
     return LossBreakdown(l_var, l_dist, l_reg, float(total)), parts
 
 
-def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
+def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig,
+                    pull: float | None = None):
     """Loss terms and their exact gradient w.r.t. the (n, D) foreground rows.
 
     Returns (breakdown, grad) with grad shaped (n, D) like pts. The gradient
@@ -177,6 +180,12 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     regularizer at mu = 0 take the zero subgradient. All of it but each
     pixel's own pull term is one (C, D) per-instance table, added to each
     instance's rows in place.
+
+    A pull replaces every instance's own-pull coefficient a_c below, which
+    rescales the pull rows of each instance. Those rows sum to zero over the
+    instance, so the instance means still move as the gradient moves them;
+    the result is then a descent direction, not the gradient. None keeps the
+    exact gradient.
     """
     counts = plan.counts
     c = counts.size
@@ -190,7 +199,7 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     #   reg   dL/dx_k = gamma*mu_c/(C*n_c*|mu_c|), zero at mu_c = 0
     # So grad_k = T_c - a_c*hd_k, where the table T_c holds a_c*S_c/n_c plus
     # the push and regularizer terms.
-    a = 2.0 * cfg.alpha / (c * counts)
+    a = 2.0 * cfg.alpha / (c * counts) if pull is None else np.full(c, pull)
     # An overflowed distance gives inf/inf here, and then l_var is inf too.
     with np.errstate(invalid="ignore"):
         ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)

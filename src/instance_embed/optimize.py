@@ -1,10 +1,13 @@
-"""Gradient-descent optimization of a free embedding field.
+"""Preconditioned descent of a free embedding field.
 
 Stands in for training an embedding head at desk scale: initialize every
-pixel's embedding uniformly at random, then run fixed-step gradient descent
-on the discriminative loss against a ground-truth label map. The field is
-returned as descended; clustering lifts each foreground row x to [x, delta_v]
-and then scales it to unit norm.
+pixel's embedding uniformly at random, then descend the discriminative loss
+against a ground-truth label map. The instance means move as fixed-step
+gradient descent moves them; each pixel's pull toward its mean runs at a
+fixed rate instead, whatever its instance's size (a diagonal
+preconditioner on the pull term). The field is returned as descended;
+clustering lifts each foreground row x to [x, delta_v] and then scales it
+to unit norm.
 """
 from __future__ import annotations
 
@@ -19,25 +22,31 @@ from .losses import DiscriminativeConfig, _gather, _plan_labels, _value_and_grad
 
 _INIT_SCALE = 1.0  # half-width of the uniform initial embeddings
 _REFERENCE_PIXELS = 64 * 64  # the canvas the default step_size was chosen on
+_PULL_RATE = 1.0  # share of a pixel's overshoot past delta_v one step removes (Newton's)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Fixed-step gradient-descent settings.
+    """Descent settings.
 
-    The pull term's per-pixel gradient carries a 1/(C*n_c) factor, so useful
-    steps are much larger than 1. The step taken is step_size times
-    max(1, C*n_min/4096), with C instances of which the smallest has n_min
-    pixels: that holds the fastest instance's pull rate,
-    2*alpha*step/(C*n_min), at its value on the 64x64 canvas (4096 pixels)
-    the default was chosen on. Maps with C*n_min <= 4096 step by exactly
-    step_size. A positive loss_tolerance stops descent once the
-    hinge part alpha*l_var + beta*l_dist is at or below it; the gamma*l_reg
-    term never reaches zero, so it is left out. The default 2.5e-5 is
+    step_size sets the step of the instance means, through the push and
+    regularizer terms. Their per-pixel gradient carries a 1/(C*n_c) factor,
+    so useful steps are much larger than 1. The step taken is step_size
+    times max(1, C*n_min/4096), with C instances of which the smallest has
+    n_min pixels, which keeps the means' rate on a large map at its value on
+    the 64x64 canvas (4096 pixels) the default was chosen on. Maps with
+    C*n_min <= 4096 step by exactly step_size. The pull term does not use
+    step_size: each step moves every pixel by its pull hinge's full Newton
+    step, so a pixel's overshoot past delta_v is removed at a fixed rate
+    whatever its instance's size, and the means are not moved by it. A
+    positive loss_tolerance stops descent once the hinge part
+    alpha*l_var + beta*l_dist is at or below it; the gamma*l_reg term never
+    reaches zero, so it is left out. The default 2.5e-5 is
     (delta_v / 100)**2 at the default delta_v of 0.5: the hinge part when
     every pixel's pull overshoots delta_v by 1% of delta_v and no push hinge
-    is active. On 234 seeded 64 to 96 px scenes the steps past it changed
-    no pixel's cluster at the default VmfConfig. 0.0 runs all max_steps.
+    is active. On 168 seeded 64 and 96 px scenes the steps past it changed
+    no pixel's cluster (default VmfConfig, seed_stride 3 at 96 px). 0.0
+    runs all max_steps.
     """
 
     step_size: float = 40.0
@@ -64,7 +73,8 @@ class OptimizationTrace:
     one update, so len(breakdowns) == steps_taken + 1. stop_reason is
     "loss_tolerance" or "max_steps", and final_grad_norm is the Frobenius
     norm of the foreground gradient at the returned field, summed without
-    BLAS so that it does not depend on the BLAS thread count.
+    BLAS so that it does not depend on the BLAS thread count. step_size is
+    the step the instance means took (see OptimizerConfig).
     """
 
     breakdowns: tuple
@@ -83,15 +93,17 @@ def optimize_embeddings(
 ) -> OptimizationTrace:
     """Descend the discriminative loss from a seeded uniform initialization.
 
-    Embeddings start uniform in [-1, +1] per coordinate.
-    Each step subtracts the step (step_size scaled by instance size, see
-    OptimizerConfig) times the analytic gradient; the breakdown at
-    initialization and after every update is recorded. Stops when a
-    positive loss_tolerance is met by the hinge part alpha*l_var +
-    beta*l_dist, or after max_steps updates, whichever comes first; a
-    tolerance of 0.0 runs all max_steps. Only foreground rows move:
-    background pixels keep their initial values, since the loss does not
-    depend on them.
+    Embeddings start uniform in [-1, +1] per coordinate. Each step
+    subtracts the step (step_size scaled by instance size, see
+    OptimizerConfig) times the analytic gradient, with every instance's
+    own-pull coefficient replaced by _PULL_RATE / step: the means follow
+    plain gradient descent, and each pixel's pull removes _PULL_RATE of its
+    overshoot past delta_v. The breakdown at initialization and after every
+    update is recorded. Stops when a positive loss_tolerance is met by the
+    hinge part alpha*l_var + beta*l_dist, or after max_steps updates,
+    whichever comes first; a tolerance of 0.0 runs all max_steps. Only
+    foreground rows move: background pixels keep their initial values,
+    since the loss does not depend on them.
     """
     if d < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {d}")
@@ -100,13 +112,14 @@ def optimize_embeddings(
     shape = (labels.height, labels.width, d)
     field = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
     pts = _gather(field, plan)
+    scale = float(plan.counts.size * plan.counts.min()) / _REFERENCE_PIXELS
+    step = opt_cfg.step_size * max(1.0, scale)
+    pull = _PULL_RATE / step
 
-    bd, grad = _value_and_grad(pts, plan, loss_cfg)
+    bd, grad = _value_and_grad(pts, plan, loss_cfg, pull)
     if not bd.finite():
         raise NonFiniteLoss("loss is not finite at initialization")
     tol = opt_cfg.loss_tolerance
-    scale = float(plan.counts.size * plan.counts.min()) / _REFERENCE_PIXELS
-    step = opt_cfg.step_size * max(1.0, scale)
 
     def separated(bd) -> bool:
         return tol > 0.0 and loss_cfg.alpha * bd.l_var + loss_cfg.beta * bd.l_dist <= tol
@@ -119,12 +132,14 @@ def optimize_embeddings(
         steps += 1
         if not np.all(np.isfinite(pts)):
             raise NonFiniteLoss(f"embeddings diverged after {steps} steps; reduce step_size")
-        bd, grad = _value_and_grad(pts, plan, loss_cfg)
+        bd, grad = _value_and_grad(pts, plan, loss_cfg, pull)
         if not bd.finite():
             raise NonFiniteLoss(f"loss diverged after {steps} steps; reduce step_size")
         breakdowns.append(bd)
     field.reshape(-1, d)[plan.fg] = pts
     reason = "loss_tolerance" if separated(bd) else "max_steps"
+    # grad is the preconditioned direction; the trace reports the gradient.
+    grad = _value_and_grad(pts, plan, loss_cfg)[1]
     # einsum, not np.linalg.norm: a multi-threaded ddot splits the sum by
     # thread count, and leaves an OpenBLAS worker spinning after it.
     grad_norm = math.sqrt(float(np.einsum("ij,ij->", grad, grad)))

@@ -74,15 +74,17 @@ def oracle_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamma, dv, dd,
 
 
 def oracle_grad_closed_form(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamma,
-                            dv, dd) -> np.ndarray:
+                            dv, dd, pull=None) -> np.ndarray:
     """The loss gradient from its three closed-form terms, one pixel at a time.
 
     For pixel k of instance a (n_a pixels, C instances), d_k = mu_a - x_k and
     hd_k = [|d_k| - dv]+ * d_k/|d_k|:
-      pull  2*alpha/(C*n_a) * (sum_{i in a} hd_i / n_a - hd_k)
+      pull  p_a * (sum_{i in a} hd_i / n_a - hd_k),  p_a = 2*alpha/(C*n_a)
       push  -4*beta/(C*(C-1)*n_a) * sum_{b != a} [2*dd - s_ab]+ * (mu_a - mu_b)/s_ab
       reg   gamma * mu_a/(C*n_a*|mu_a|)
     Inactive hinges, coincident means (s_ab = 0) and mu_a = 0 contribute zero.
+    A pull given replaces every p_a, which turns the result into the
+    preconditioned descent direction instead of the gradient.
     """
     ids = sorted(int(v) for v in np.unique(labels) if v != 0)
     c = len(ids)
@@ -111,7 +113,8 @@ def oracle_grad_closed_form(emb: np.ndarray, labels: np.ndarray, alpha, beta, ga
                 push += (2.0 * dd - sep) * e / sep
         norm = math.sqrt(float(np.sum(means[a] * means[a])))
         for y, x in pixels[a]:
-            g = 2.0 * alpha / (c * n) * (s_a / n - hd(a, y, x))
+            p_a = 2.0 * alpha / (c * n) if pull is None else pull
+            g = p_a * (s_a / n - hd(a, y, x))
             if c > 1:
                 g = g - 4.0 * beta / (c * (c - 1) * n) * push
             if norm > 0.0:

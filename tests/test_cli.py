@@ -125,7 +125,7 @@ class TestOptimize:
 
     def test_divergent_step_size_exits_4(self, tmp_path):
         scene = self._gen(tmp_path)
-        cfg = _write_config(tmp_path, {"optimizer": {"step_size": 1e6, "max_steps": 600}})
+        cfg = _write_config(tmp_path, {"optimizer": {"step_size": 1e300, "max_steps": 600}})
         rc = main(["optimize", "--labels", str(scene / "labels.pgm"),
                    "--config", cfg, "--out", str(tmp_path / "opt")])
         assert rc == 4

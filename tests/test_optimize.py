@@ -20,6 +20,7 @@ from instance_embed import (
     gen_scene,
     optimize_embeddings,
 )
+from _oracles import oracle_grad_closed_form
 
 
 def _two_band_labels(h=16, w=16):
@@ -91,9 +92,10 @@ class TestDescent:
         recomputed = discriminative_loss(trace.final, labels, loss_cfg)
         assert trace.breakdowns[-1].total == pytest.approx(recomputed.total, rel=1e-12)
 
-    def test_matches_plain_descent_bit_for_bit(self):
-        # x <- x - step_size * max(1, C*n_min/4096) * grad(x) through the
-        # public loss and gradient
+    def test_means_follow_plain_descent(self):
+        # x <- x - step * grad(x), with step = step_size * max(1, C*n_min/4096),
+        # through the public gradient: the pull rows of each instance sum to
+        # zero, so rescaling them leaves every instance mean on this path
         loss_cfg = DiscriminativeConfig()
         opt = OptimizerConfig(step_size=5.0, max_steps=12, loss_tolerance=0.0, seed=4)
         d = 3
@@ -106,14 +108,35 @@ class TestDescent:
             trace = optimize_embeddings(labels, d, loss_cfg, opt)
             step = opt.step_size * scale
             assert trace.step_size == step
+            assert trace.steps_taken == opt.max_steps
             x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(labels.height, labels.width, d))
-            want = [discriminative_loss(EmbeddingField(x), labels, loss_cfg)]
             for _ in range(opt.max_steps):
                 x = x - step * discriminative_grad(EmbeddingField(x), labels, loss_cfg)
-                want.append(discriminative_loss(EmbeddingField(x), labels, loss_cfg))
-            assert trace.steps_taken == opt.max_steps
-            assert list(trace.breakdowns) == want
-            np.testing.assert_array_equal(trace.final.values, x)
+            for ident in range(1, int(labels.values.max()) + 1):
+                inside = labels.values == ident
+                np.testing.assert_allclose(
+                    trace.final.values[inside].mean(axis=0), x[inside].mean(axis=0),
+                    rtol=0, atol=1e-12,
+                )
+            background = labels.values == 0
+            np.testing.assert_array_equal(trace.final.values[background], x[background])
+
+    @pytest.mark.parametrize("labels", [_two_band_labels(8, 8), _two_band_labels(10, 9)])
+    def test_one_step_matches_loop_oracle(self, labels):
+        # one update is x - step * (the closed-form gradient with every
+        # own-pull coefficient set to 1/step)
+        loss_cfg = DiscriminativeConfig()
+        opt = OptimizerConfig(step_size=5.0, max_steps=1, loss_tolerance=0.0, seed=6)
+        d = 3
+        trace = optimize_embeddings(labels, d, loss_cfg, opt)
+        x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(labels.height, labels.width, d))
+        direction = oracle_grad_closed_form(
+            x, labels.values, loss_cfg.alpha, loss_cfg.beta, loss_cfg.gamma,
+            loss_cfg.delta_v, loss_cfg.delta_d, pull=1.0 / opt.step_size,
+        )
+        np.testing.assert_allclose(
+            trace.final.values, x - opt.step_size * direction, rtol=0, atol=1e-12
+        )
 
 
 class TestStopping:
@@ -168,10 +191,13 @@ class TestStopping:
         assert trace.stop_reason == reason
 
     def test_final_grad_norm_is_gradient_at_returned_field(self):
+        # two steps leave pull hinges active, where the descent direction
+        # is not the gradient
         labels = _two_band_labels(8, 8)
         loss_cfg = DiscriminativeConfig()
         trace = optimize_embeddings(
-            labels, 3, loss_cfg, OptimizerConfig(step_size=5.0, max_steps=10, seed=2)
+            labels, 3, loss_cfg,
+            OptimizerConfig(step_size=5.0, max_steps=2, loss_tolerance=0.0, seed=2),
         )
         want = np.linalg.norm(discriminative_grad(trace.final, labels, loss_cfg))
         assert trace.stop_reason == "max_steps"
@@ -183,8 +209,26 @@ class TestStopping:
         with pytest.raises(NonFiniteLoss):
             optimize_embeddings(
                 labels, 4, DiscriminativeConfig(),
-                OptimizerConfig(step_size=1e6, max_steps=600, seed=0),
+                OptimizerConfig(step_size=1e300, max_steps=600, seed=0),
             )
+
+    def test_large_step_stays_finite_and_recovers_instances(self):
+        # the pull runs at a fixed rate whatever step_size is, so a huge step
+        # only throws the two means far apart
+        labels = _two_band_labels()
+        trace = optimize_embeddings(
+            labels, 4, DiscriminativeConfig(),
+            OptimizerConfig(step_size=1e6, max_steps=600, seed=0),
+        )
+        assert trace.stop_reason == "loss_tolerance"
+        assert np.all(np.isfinite(trace.final.values))
+        mask = BinaryMask((labels.values > 0).astype(np.uint8))
+        result, _ = cluster_field(trace.final, mask, VmfConfig())
+        got = result.assignment.values
+        assert result.num_clusters == 2
+        for ident in (1, 2):
+            assert np.unique(got[labels.values == ident]).size == 1
+        assert got[labels.values == 1][0] != got[labels.values == 2][0]
 
     def test_empty_labels_raise(self):
         labels = LabelMap(np.zeros((4, 4), dtype=np.int64))
@@ -252,3 +296,21 @@ class TestDefaultStop:
         assert result.num_clusters == full_result.num_clusters == num_instances
         np.testing.assert_array_equal(result.assignment.values, full_result.assignment.values)
         assert search.unconverged_seeds <= full_search.unconverged_seeds
+
+    def test_one_instance_scene_stops_at_once_and_clusters_converge(self):
+        # benchmark small-scenes s08 at seed 1 (scene seed 1008) at criterion
+        # 3's settings: plain descent took 136 steps and left a broad blob on
+        # which all 615 mean-shift seeds ran out of max_iters
+        scene = gen_scene(SceneConfig(num_instances=1, layout="curved_bands", seed=1008))
+        trace = optimize_embeddings(
+            scene.labels, 8, DiscriminativeConfig(),
+            OptimizerConfig(step_size=40.0, max_steps=300, loss_tolerance=1e-3, seed=1008),
+        )
+        result, search = cluster_field(
+            trace.final, scene.drivable_mask,
+            VmfConfig(kappa=10.0, merge_tolerance=1.65, seed_stride=5),
+        )
+        assert trace.stop_reason == "loss_tolerance"
+        assert trace.steps_taken <= 5
+        assert result.num_clusters == 1
+        assert search.unconverged_seeds == 0
