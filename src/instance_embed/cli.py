@@ -77,6 +77,7 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
         out / "trace.json",
         {
             "steps_taken": trace.steps_taken,
+            "pixel_steps": trace.pixel_steps,
             "stop_reason": trace.stop_reason,
             "final_grad_norm": trace.final_grad_norm,
             "entries": [
@@ -85,11 +86,10 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
             ],
         },
     )
-    step_ms = 1000.0 * seconds / trace.steps_taken if trace.steps_taken else 0.0
     log.info(
-        "optimized %d steps in %.3f s (%.3f ms/step), final total %s, "
+        "optimized %d steps (%d on every pixel) in %.3f s, final total %s, "
         "stop_reason %s, final_grad_norm %.3g, step %.6g",
-        trace.steps_taken, seconds, step_ms, trace.breakdowns[-1].total,
+        trace.steps_taken, trace.pixel_steps, seconds, trace.breakdowns[-1].total,
         trace.stop_reason, trace.final_grad_norm, trace.step_size,
     )
 

@@ -133,26 +133,41 @@ def _scatter(rows: np.ndarray, plan: _LabelPlan, shape: tuple) -> np.ndarray:
     return out
 
 
-def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
-    """The three loss terms of the foreground rows, plus the intermediates their gradient reuses.
+def _instance_means(pts: np.ndarray, plan: _LabelPlan) -> np.ndarray:
+    """The (C, D) instance means of the (n, D) foreground rows."""
+    return _segment_sum(plan, pts) / plan.counts[:, None]
 
-    Returns (breakdown, parts). parts holds the instance means; the pull
-    differences, distances and hinges per foreground pixel; the mean
-    separations and push hinges (None with one instance); and the mean norms.
+
+def _pull_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
+    """l_var of the foreground rows, plus the intermediates its gradient reuses.
+
+    Returns (l_var, means, diff, dist, hinge): the instance means, and the
+    pull difference mu_c - x_k, its length and its hinge per foreground row.
     """
     ids, counts = plan.ids, plan.counts
     c = counts.size
-    means = _segment_sum(plan, pts) / counts[:, None]
-
+    means = _instance_means(pts, plan)
     diff = np.empty_like(pts)
     for k, (start, stop) in enumerate(plan.spans):
         np.subtract(means[k], pts[start:stop], out=diff[start:stop])
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     hinge = np.maximum(dist - cfg.delta_v, 0.0)
     l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
+    return l_var, means, diff, dist, hinge
 
+
+def _mean_terms(means: np.ndarray, counts: np.ndarray, cfg: DiscriminativeConfig,
+                l_var: float, table: np.ndarray | None = None) -> LossBreakdown:
+    """The breakdown with the given l_var; l_dist and l_reg read the (C, D) means alone.
+
+    A (C, D) table given gains, in place, the push and regularizer terms of
+    the gradient of each instance's rows (see _value_and_grad). They are
+    the same for every row of an instance, and the pull rows sum to zero
+    over it, so a table of zeros that gains them is the direction in which
+    a step along the whole gradient moves each instance mean.
+    """
+    c = counts.size
     l_dist = 0.0
-    sep = h = None
     if c > 1:
         # Overflowed means give inf or nan here, and then l_dist is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -162,13 +177,28 @@ def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
         h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
         np.fill_diagonal(h, 0.0)
         l_dist = float((h * h).sum() / (c * (c - 1)))
+        if table is not None:
+            # push coefficients [2*delta_d - s_AB]+ / s_AB, zero where the hinge is off
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coef = np.where((h > 0.0) & (sep > 0.0), h / sep, 0.0)
+            acc = coef.sum(axis=1)[:, None] * means - coef @ means
+            table -= (4.0 * cfg.beta / (c * (c - 1) * counts))[:, None] * acc
 
     norms = np.sqrt(np.einsum("ij,ij->i", means, means))
     l_reg = float(norms.mean())
+    if table is not None:
+        reg = np.divide(cfg.gamma / (c * counts), norms, out=np.zeros_like(norms),
+                        where=norms > 0.0)
+        table += reg[:, None] * means
 
     total = cfg.alpha * l_var + cfg.beta * l_dist + cfg.gamma * l_reg
-    parts = (means, diff, dist, hinge, sep, h, norms)
-    return LossBreakdown(l_var, l_dist, l_reg, float(total)), parts
+    return LossBreakdown(l_var, l_dist, l_reg, float(total))
+
+
+def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig) -> LossBreakdown:
+    """The three loss terms of the (n, D) foreground rows."""
+    l_var, means = _pull_terms(pts, plan, cfg)[:2]
+    return _mean_terms(means, plan.counts, cfg, l_var)
 
 
 def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig,
@@ -189,7 +219,7 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     """
     counts = plan.counts
     c = counts.size
-    bd, (means, diff, dist, hinge, sep, h, norms) = _loss_terms(pts, plan, cfg)
+    l_var, means, diff, dist, hinge = _pull_terms(pts, plan, cfg)
 
     # For pixel k of instance c (n_c pixels, C instances) with d_k = mu_c - x_k
     # and hd_k = [|d_k| - delta_v]+ * d_k/|d_k| (zero where the hinge is off):
@@ -205,14 +235,7 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
         ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
     hd = np.multiply(diff, ratio[:, None], out=diff)
     table = (a / counts)[:, None] * _segment_sum(plan, hd)
-    if c > 1:
-        # push coefficients [2*delta_d - s_AB]+ / s_AB, zero where the hinge is off
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where((h > 0.0) & (sep > 0.0), h / sep, 0.0)
-        acc = coef.sum(axis=1)[:, None] * means - coef @ means
-        table -= (4.0 * cfg.beta / (c * (c - 1) * counts))[:, None] * acc
-    reg = np.divide(cfg.gamma / (c * counts), norms, out=np.zeros_like(norms), where=norms > 0.0)
-    table += reg[:, None] * means
+    bd = _mean_terms(means, counts, cfg, l_var, table)
     # hd becomes the gradient, one instance's rows at a time.
     for k, (start, stop) in enumerate(plan.spans):
         rows = hd[start:stop]
@@ -227,7 +250,7 @@ def discriminative_loss(
     """Evaluate all three terms of the discriminative loss."""
     validate_pair(emb, labels)
     plan = _plan_labels(labels.values, emb.dim)
-    return _loss_terms(_gather(emb.values, plan), plan, cfg)[0]
+    return _loss_terms(_gather(emb.values, plan), plan, cfg)
 
 
 def discriminative_grad(
@@ -266,9 +289,9 @@ def finite_diff_grad(
         for d in range(pts.shape[1]):
             saved = pts[k, d]
             pts[k, d] = saved + step
-            hi = _loss_terms(pts, plan, cfg)[0].total
+            hi = _loss_terms(pts, plan, cfg).total
             pts[k, d] = saved - step
-            lo = _loss_terms(pts, plan, cfg)[0].total
+            lo = _loss_terms(pts, plan, cfg).total
             pts[k, d] = saved
             out[k, d] = (hi - lo) / (2.0 * step)
     return _scatter(out, plan, emb.values.shape)

@@ -123,14 +123,16 @@ def oracle_grad_closed_form(emb: np.ndarray, labels: np.ndarray, alpha, beta, ga
     return grad
 
 
-def oracle_value_and_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamma, dv, dd):
+def oracle_value_and_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamma, dv, dd,
+                          pull=None):
     """((l_var, l_dist, l_reg, total), gradient) from the raster-order kernel.
 
     The foreground rows in raster order, one bincount per embedding dimension
     for every per-instance sum, and the instance means and the per-instance
     gradient table gathered to every pixel. This is the package kernel's
     arithmetic, operation for operation, with the rows in raster order, so
-    the package must match it bit for bit.
+    the package must match it bit for bit. A pull given replaces every
+    own-pull coefficient 2*alpha/(C*n_c), as in oracle_grad_closed_form.
     """
     h, w, d = emb.shape
     flat = labels.ravel()
@@ -160,7 +162,7 @@ def oracle_value_and_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamm
     l_reg = float(norms.mean())
     total = float(alpha * l_var + beta * l_dist + gamma * l_reg)
 
-    a = 2.0 * alpha / (c * counts)
+    a = 2.0 * alpha / (c * counts) if pull is None else np.full(c, pull)
     with np.errstate(invalid="ignore"):
         ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
     hd = ratio[:, None] * diff
@@ -177,6 +179,40 @@ def oracle_value_and_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamm
     grad = np.zeros((h * w, d))
     grad[fg] = rows
     return (l_var, l_dist, l_reg, total), grad.reshape(h, w, d)
+
+
+def oracle_descent(labels: np.ndarray, d: int, alpha, beta, gamma, dv, dd,
+                   step: float, max_steps: int, tol: float, seed: int):
+    """The descent with every step on every pixel, on the raster-order kernel.
+
+    Starts from the seeded uniform field in [-1, 1] and steps
+    x <- x - step * g, where g is oracle_value_and_grad's gradient with every
+    own-pull coefficient set to 1/step. Stops at the first entry whose
+    alpha*l_var + beta*l_dist is at or below a positive tol, or after
+    max_steps. A non-finite field or loss raises FloatingPointError with the
+    optimizer's NonFiniteLoss message. Returns (entries, field, steps,
+    stop_reason), entries being the (l_var, l_dist, l_reg, total) of the
+    initial field and after each step.
+    """
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=labels.shape + (d,))
+    args = (alpha, beta, gamma, dv, dd)
+    terms, g = oracle_value_and_grad(x, labels, *args, pull=1.0 / step)
+    entries = [terms]
+    steps = 0
+
+    def met(t):
+        return tol > 0.0 and alpha * t[0] + beta * t[1] <= tol
+
+    while not met(terms) and steps < max_steps:
+        x = x - step * g
+        steps += 1
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError(f"embeddings diverged after {steps} steps; reduce step_size")
+        terms, g = oracle_value_and_grad(x, labels, *args, pull=1.0 / step)
+        if not all(math.isfinite(t) for t in terms):
+            raise FloatingPointError(f"loss diverged after {steps} steps; reduce step_size")
+        entries.append(terms)
+    return entries, x, steps, "loss_tolerance" if met(terms) else "max_steps"
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,11 @@ class TestOptimize:
             assert main(["optimize", "--labels", str(scene / "labels.pgm"),
                          "--config", cfg, "--out", str(out)]) == 0
             docs[name] = json.loads((out / "trace.json").read_text())
-        assert set(docs["capped"]) == {"steps_taken", "stop_reason", "final_grad_norm", "entries"}
+        assert set(docs["capped"]) == {
+            "steps_taken", "pixel_steps", "stop_reason", "final_grad_norm", "entries",
+        }
+        assert docs["capped"]["pixel_steps"] == 5
+        assert 0 < docs["tolerant"]["pixel_steps"] < docs["tolerant"]["steps_taken"]
         assert docs["capped"]["stop_reason"] == "max_steps"
         assert docs["tolerant"]["stop_reason"] == "loss_tolerance"
         assert docs["tolerant"]["steps_taken"] < 600
@@ -429,7 +433,7 @@ class TestPipeline:
         assert _dir_bytes(tmp_path / "error", names) == _dir_bytes(tmp_path / "info", names)
         assert runs["error"].stderr == ""
         assert re.search(
-            r"optimized \d+ steps in [\d.]+ s \([\d.]+ ms/step\), final total \S+, "
+            r"optimized \d+ steps \(\d+ on every pixel\) in [\d.]+ s, final total \S+, "
             r"stop_reason loss_tolerance, final_grad_norm \S+, step 40\n",
             runs["info"].stderr,
         )

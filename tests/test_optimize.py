@@ -20,7 +20,7 @@ from instance_embed import (
     gen_scene,
     optimize_embeddings,
 )
-from _oracles import oracle_grad_closed_form
+from _oracles import oracle_descent, oracle_grad_closed_form
 
 
 def _two_band_labels(h=16, w=16):
@@ -95,31 +95,41 @@ class TestDescent:
     def test_means_follow_plain_descent(self):
         # x <- x - step * grad(x), with step = step_size * max(1, C*n_min/4096),
         # through the public gradient: the pull rows of each instance sum to
-        # zero, so rescaling them leaves every instance mean on this path
+        # zero, so rescaling them leaves every instance mean on this path.
+        # At the default tolerance the 90x64 two-band map switches to stepping its
+        # means alone once every pull is met, which keeps them on it too.
         loss_cfg = DiscriminativeConfig()
-        opt = OptimizerConfig(step_size=5.0, max_steps=12, loss_tolerance=0.0, seed=4)
         d = 3
         cases = [
             (_two_band_labels(8, 8), 1.0),
             (_large_bands(), 4800 / 4096),
             (_speck_on_large_canvas(), 1.0),
         ]
-        for labels, scale in cases:
-            trace = optimize_embeddings(labels, d, loss_cfg, opt)
-            step = opt.step_size * scale
-            assert trace.step_size == step
-            assert trace.steps_taken == opt.max_steps
-            x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(labels.height, labels.width, d))
-            for _ in range(opt.max_steps):
-                x = x - step * discriminative_grad(EmbeddingField(x), labels, loss_cfg)
-            for ident in range(1, int(labels.values.max()) + 1):
-                inside = labels.values == ident
-                np.testing.assert_allclose(
-                    trace.final.values[inside].mean(axis=0), x[inside].mean(axis=0),
-                    rtol=0, atol=1e-12,
-                )
-            background = labels.values == 0
-            np.testing.assert_array_equal(trace.final.values[background], x[background])
+        for tol, max_steps in [(0.0, 12), (OptimizerConfig().loss_tolerance, 40)]:
+            opt = OptimizerConfig(step_size=5.0, max_steps=max_steps, loss_tolerance=tol, seed=4)
+            for labels, scale in cases:
+                self._check_means_follow_plain_descent(labels, scale, d, loss_cfg, opt)
+
+    @staticmethod
+    def _check_means_follow_plain_descent(labels, scale, d, loss_cfg, opt):
+        trace = optimize_embeddings(labels, d, loss_cfg, opt)
+        step = opt.step_size * scale
+        assert trace.step_size == step
+        if opt.loss_tolerance == 0.0:
+            assert trace.pixel_steps == trace.steps_taken == opt.max_steps
+        elif labels.values.max() > 1:
+            assert 0 < trace.pixel_steps < trace.steps_taken
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(labels.height, labels.width, d))
+        for _ in range(trace.steps_taken):
+            x = x - step * discriminative_grad(EmbeddingField(x), labels, loss_cfg)
+        for ident in range(1, int(labels.values.max()) + 1):
+            inside = labels.values == ident
+            np.testing.assert_allclose(
+                trace.final.values[inside].mean(axis=0), x[inside].mean(axis=0),
+                rtol=0, atol=1e-12,
+            )
+        background = labels.values == 0
+        np.testing.assert_array_equal(trace.final.values[background], x[background])
 
     @pytest.mark.parametrize("labels", [_two_band_labels(8, 8), _two_band_labels(10, 9)])
     def test_one_step_matches_loop_oracle(self, labels):
@@ -212,6 +222,29 @@ class TestStopping:
                 OptimizerConfig(step_size=1e300, max_steps=600, seed=0),
             )
 
+    @pytest.mark.parametrize("tol", [0.0, OptimizerConfig().loss_tolerance])
+    @pytest.mark.parametrize("step_size", [1e300, 1.7e308])
+    def test_both_phases_raise_nonfinite_like_the_oracle(self, tol, step_size):
+        # two one-pixel instances: every pull is met from the start, so at
+        # the default tolerance only the means step, and at 0.0 every pixel
+        # does. 1e300 overflows the loss, 1.7e308 the embeddings.
+        lab = np.zeros((4, 4), dtype=np.int64)
+        lab[1, 2] = 1
+        lab[3, 0] = 2
+        loss_cfg = DiscriminativeConfig()
+        finite = optimize_embeddings(
+            LabelMap(lab), 4, loss_cfg, OptimizerConfig(max_steps=3, loss_tolerance=tol)
+        )
+        assert finite.pixel_steps == (3 if tol == 0.0 else 0)
+        with pytest.raises(NonFiniteLoss) as err:
+            optimize_embeddings(
+                LabelMap(lab), 4, loss_cfg, OptimizerConfig(step_size=step_size, loss_tolerance=tol)
+            )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as want:
+            oracle_descent(lab, 4, *_loss_args(loss_cfg), step_size, 600, tol, 0)
+        assert str(err.value) == str(want.value)
+        assert str(err.value).startswith("loss" if step_size == 1e300 else "embeddings")
+
     def test_large_step_stays_finite_and_recovers_instances(self):
         # the pull runs at a fixed rate whatever step_size is, so a huge step
         # only throws the two means far apart
@@ -242,6 +275,87 @@ class TestStopping:
         with pytest.raises(EmptyInstance) as err:
             optimize_embeddings(LabelMap(lab), 3, DiscriminativeConfig(), OptimizerConfig())
         assert "instance ID 2" in str(err.value)
+
+
+def _loss_args(cfg):
+    return cfg.alpha, cfg.beta, cfg.gamma, cfg.delta_v, cfg.delta_d
+
+
+class TestOracleDescent:
+    """The descent against oracle_descent, which steps every pixel on every step.
+
+    Once every pull is met, the package steps only the instance means and
+    moves each instance's rows by its mean's displacement at the end.
+    """
+
+    @staticmethod
+    def _run(scene, loss_cfg, opt):
+        trace = optimize_embeddings(scene.labels, 8, loss_cfg, opt)
+        oracle = oracle_descent(
+            scene.labels.values, 8, *_loss_args(loss_cfg), trace.step_size,
+            opt.max_steps, opt.loss_tolerance, opt.seed,
+        )
+        got = [(b.l_var, b.l_dist, b.l_reg, b.total) for b in trace.breakdowns]
+        return trace, got, oracle
+
+    def _check(self, scene, loss_cfg, opt):
+        trace, got, (entries, field, steps, reason) = self._run(scene, loss_cfg, opt)
+        assert (trace.steps_taken, trace.stop_reason) == (steps, reason)
+        k = trace.pixel_steps
+        assert 0 < k < trace.steps_taken  # the switch fired
+        assert got[:k + 1] == entries[:k + 1]  # every pixel stepped, as in the oracle
+        assert all(g[0] == got[k][0] for g in got[k:])  # l_var held at the switch
+        # The oracle recomputes each mean from its pixels every step, which
+        # rounds more than stepping the means: on the 64 px map at the
+        # default tolerance the last l_dist entries differ by 1.3e-12
+        # relative, and a long-double replay of the means' steps lies
+        # within 1.4e-13 of the package's entries and 1.2e-12 of the oracle's.
+        np.testing.assert_allclose([g[1] for g in got], [e[1] for e in entries],
+                                   rtol=2e-12, atol=0)
+        np.testing.assert_allclose([g[2] for g in got], [e[2] for e in entries],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.final.values, field, rtol=0, atol=1e-8)
+        clusters = [
+            cluster_field(f, scene.drivable_mask, VmfConfig(), loss_cfg.delta_v)[0]
+            for f in (trace.final, EmbeddingField(field))
+        ]
+        np.testing.assert_array_equal(clusters[0].assignment.values,
+                                      clusters[1].assignment.values)
+        return trace
+
+    @pytest.mark.parametrize("tol", [OptimizerConfig().loss_tolerance, 1e-3])
+    @pytest.mark.parametrize(
+        "size, num_instances, layout, seed",
+        [(64, 2, "fork", 3), (96, 3, "curved_bands", 2), (128, 4, "parallel_stripes", 1000)],
+    )
+    def test_matches_oracle(self, size, num_instances, layout, seed, tol):
+        scene = gen_scene(SceneConfig(width=size, height=size, num_instances=num_instances,
+                                      layout=layout, seed=seed))
+        self._check(scene, DiscriminativeConfig(), OptimizerConfig(loss_tolerance=tol, seed=seed))
+
+    def test_zero_tolerance_is_the_oracle_bit_for_bit(self):
+        scene = gen_scene(SceneConfig(num_instances=2, layout="fork", seed=3))
+        opt = OptimizerConfig(max_steps=60, loss_tolerance=0.0, seed=3)
+        trace, got, (entries, field, steps, reason) = self._run(scene, DiscriminativeConfig(), opt)
+        assert trace.pixel_steps == trace.steps_taken == steps == 60
+        assert trace.stop_reason == reason == "max_steps"
+        assert got == entries
+        np.testing.assert_array_equal(trace.final.values, field)
+
+    def test_zero_alpha_still_steps_every_pixel_first(self):
+        # with alpha 0 the pull still moves every pixel; the switch tests the
+        # unweighted l_var, so it does not fire at step 0
+        scene = gen_scene(SceneConfig(num_instances=2, layout="fork", seed=3))
+        trace = self._check(scene, DiscriminativeConfig(alpha=0.0), OptimizerConfig(seed=3))
+        assert trace.breakdowns[0].l_var > 0.0
+
+    def test_dense_map_switches_within_15_pixel_steps(self):
+        # the dense-128 benchmark scene: 155 steps, of which 7 on every pixel
+        scene = gen_scene(SceneConfig(width=128, height=128, num_instances=4,
+                                      layout="parallel_stripes", seed=1000))
+        trace = optimize_embeddings(scene.labels, 8, DiscriminativeConfig(), OptimizerConfig(seed=1000))
+        assert trace.stop_reason == "loss_tolerance"
+        assert 0 < trace.pixel_steps <= 15 < trace.steps_taken
 
 
 class TestNormalizeField:
