@@ -139,10 +139,13 @@ def _instance_means(pts: np.ndarray, plan: _LabelPlan) -> np.ndarray:
 
 
 def _pull_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
-    """l_var of the foreground rows, plus the intermediates its gradient reuses.
+    """l_var of the foreground rows, their instance means and their pull vectors.
 
-    Returns (l_var, means, diff, dist, hinge): the instance means, and the
-    pull difference mu_c - x_k, its length and its hinge per foreground row.
+    Returns (l_var, means, hd), hd holding for each foreground row x_k of
+    instance c the vector hd_k = [|d_k| - delta_v]+ * d_k/|d_k| of its pull
+    difference d_k = mu_c - x_k, zero where the hinge is off: the Newton step
+    of the row's own pull hinge, which would put it on the delta_v ball
+    around mu_c.
     """
     ids, counts = plan.ids, plan.counts
     c = counts.size
@@ -153,7 +156,10 @@ def _pull_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     hinge = np.maximum(dist - cfg.delta_v, 0.0)
     l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
-    return l_var, means, diff, dist, hinge
+    # An overflowed distance gives inf/inf here, and then l_var is inf too.
+    with np.errstate(invalid="ignore"):
+        ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
+    return l_var, means, np.multiply(diff, ratio[:, None], out=diff)
 
 
 def _mean_terms(means: np.ndarray, counts: np.ndarray, cfg: DiscriminativeConfig,
@@ -168,28 +174,29 @@ def _mean_terms(means: np.ndarray, counts: np.ndarray, cfg: DiscriminativeConfig
     """
     c = counts.size
     l_dist = 0.0
-    if c > 1:
-        # Overflowed means give inf or nan here, and then l_dist is not finite.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Overflowed means give inf or nan here, in the terms and in the table
+    # alike, and then the breakdown is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c > 1:
             gram = means @ means.T
             sq = np.diag(gram)
             sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
-        h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
-        np.fill_diagonal(h, 0.0)
-        l_dist = float((h * h).sum() / (c * (c - 1)))
-        if table is not None:
-            # push coefficients [2*delta_d - s_AB]+ / s_AB, zero where the hinge is off
-            with np.errstate(divide="ignore", invalid="ignore"):
-                coef = np.where((h > 0.0) & (sep > 0.0), h / sep, 0.0)
-            acc = coef.sum(axis=1)[:, None] * means - coef @ means
-            table -= (4.0 * cfg.beta / (c * (c - 1) * counts))[:, None] * acc
+            h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
+            np.fill_diagonal(h, 0.0)
+            l_dist = float((h * h).sum() / (c * (c - 1)))
+            if table is not None:
+                # push coefficients [2*delta_d - s_AB]+ / s_AB, zero where the hinge is off
+                with np.errstate(divide="ignore"):
+                    coef = np.where((h > 0.0) & (sep > 0.0), h / sep, 0.0)
+                acc = coef.sum(axis=1)[:, None] * means - coef @ means
+                table -= (4.0 * cfg.beta / (c * (c - 1) * counts))[:, None] * acc
 
-    norms = np.sqrt(np.einsum("ij,ij->i", means, means))
-    l_reg = float(norms.mean())
-    if table is not None:
-        reg = np.divide(cfg.gamma / (c * counts), norms, out=np.zeros_like(norms),
-                        where=norms > 0.0)
-        table += reg[:, None] * means
+        norms = np.sqrt(np.einsum("ij,ij->i", means, means))
+        l_reg = float(norms.mean())
+        if table is not None:
+            reg = np.divide(cfg.gamma / (c * counts), norms, out=np.zeros_like(norms),
+                            where=norms > 0.0)
+            table += reg[:, None] * means
 
     total = cfg.alpha * l_var + cfg.beta * l_dist + cfg.gamma * l_reg
     return LossBreakdown(l_var, l_dist, l_reg, float(total))
@@ -201,8 +208,7 @@ def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig) ->
     return _mean_terms(means, plan.counts, cfg, l_var)
 
 
-def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig,
-                    pull: float | None = None):
+def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
     """Loss terms and their exact gradient w.r.t. the (n, D) foreground rows.
 
     Returns (breakdown, grad) with grad shaped (n, D) like pts. The gradient
@@ -210,16 +216,10 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     regularizer at mu = 0 take the zero subgradient. All of it but each
     pixel's own pull term is one (C, D) per-instance table, added to each
     instance's rows in place.
-
-    A pull replaces every instance's own-pull coefficient a_c below, which
-    rescales the pull rows of each instance. Those rows sum to zero over the
-    instance, so the instance means still move as the gradient moves them;
-    the result is then a descent direction, not the gradient. None keeps the
-    exact gradient.
     """
     counts = plan.counts
     c = counts.size
-    l_var, means, diff, dist, hinge = _pull_terms(pts, plan, cfg)
+    l_var, means, hd = _pull_terms(pts, plan, cfg)
 
     # For pixel k of instance c (n_c pixels, C instances) with d_k = mu_c - x_k
     # and hd_k = [|d_k| - delta_v]+ * d_k/|d_k| (zero where the hinge is off):
@@ -229,11 +229,7 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     #   reg   dL/dx_k = gamma*mu_c/(C*n_c*|mu_c|), zero at mu_c = 0
     # So grad_k = T_c - a_c*hd_k, where the table T_c holds a_c*S_c/n_c plus
     # the push and regularizer terms.
-    a = 2.0 * cfg.alpha / (c * counts) if pull is None else np.full(c, pull)
-    # An overflowed distance gives inf/inf here, and then l_var is inf too.
-    with np.errstate(invalid="ignore"):
-        ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
-    hd = np.multiply(diff, ratio[:, None], out=diff)
+    a = 2.0 * cfg.alpha / (c * counts)
     table = (a / counts)[:, None] * _segment_sum(plan, hd)
     bd = _mean_terms(means, counts, cfg, l_var, table)
     # hd becomes the gradient, one instance's rows at a time.

@@ -2,14 +2,14 @@
 
 Stands in for training an embedding head at desk scale: initialize every
 pixel's embedding uniformly at random, then descend the discriminative loss
-against a ground-truth label map. The instance means move as fixed-step
-gradient descent moves them; each pixel's pull toward its mean runs at a
-fixed rate instead, whatever its instance's size. Once every pull is met, a
-step only translates each instance rigidly, so from then on the (C, D)
-instance means descend alone and each instance's rows move by its mean's
-displacement at the end. The field is returned as descended; clustering
-lifts each foreground row x to [x, delta_v] and then scales it to unit
-norm.
+against a ground-truth label map. Only the pull term reads a pixel's offset
+from its instance mean; the push and regularizer terms read the means
+alone. So each step moves the (C, D) instance means as fixed-step gradient
+descent moves them, and each pixel by its pull hinge's Newton step less
+the instance's mean of that step, which leaves every mean in place; each
+instance's pixels then move by its mean's displacement at the end. The
+field is returned as descended; clustering lifts each foreground row x to
+[x, delta_v] and then scales it to unit norm.
 """
 from __future__ import annotations
 
@@ -26,12 +26,12 @@ from .losses import (
     _instance_means,
     _mean_terms,
     _plan_labels,
+    _pull_terms,
     _value_and_grad,
 )
 
 _INIT_SCALE = 1.0  # half-width of the uniform initial embeddings
 _REFERENCE_PIXELS = 64 * 64  # the canvas the default step_size was chosen on
-_PULL_RATE = 1.0  # share of a pixel's overshoot past delta_v one step removes (Newton's)
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,11 @@ class OptimizerConfig:
     n_min pixels, which keeps the means' rate on a large map at its value on
     the 64x64 canvas (4096 pixels) the default was chosen on. Maps with
     C*n_min <= 4096 step by exactly step_size. The pull term does not use
-    step_size: each step moves every pixel by its pull hinge's full Newton
-    step, so a pixel's overshoot past delta_v is removed at a fixed rate
-    whatever its instance's size, and the means are not moved by it. A
-    positive loss_tolerance stops descent once the hinge part
+    step_size: a step moves each pixel x of instance c by its pull hinge's
+    full Newton step hd less the instance's mean of hd, so a pixel's
+    overshoot past delta_v is removed at a fixed rate whatever its
+    instance's size, and the means are not moved by it. A positive
+    loss_tolerance stops descent once the hinge part
     alpha*l_var + beta*l_dist is at or below it; the gamma*l_reg term never
     reaches zero, so it is left out. The default 2.5e-5 is
     (delta_v / 100)**2 at the default delta_v of 0.5: the hinge part when
@@ -57,14 +58,11 @@ class OptimizerConfig:
     no pixel's cluster (default VmfConfig, seed_stride 3 at 96 px). 0.0
     runs all max_steps.
 
-    A positive loss_tolerance also ends the steps on every pixel once the
-    unweighted l_var is at or below loss_tolerance * 2**-52, its rounding
-    level: each later step would only translate every instance. The means
-    then descend alone through the same push and regularizer arithmetic,
-    and each instance's rows move by its mean's displacement at the end.
-    The steps and the stop are those of stepping every pixel; the field
-    differs by the pull's leftover, about 1e-9 on 64 to 128 px scenes. At
-    0.0 every step moves every pixel.
+    The pull moves the pixels only while the unweighted l_var is above
+    loss_tolerance * 2**-52, its rounding level (above 0.0 at a tolerance
+    of 0.0); after that a step moves the means alone. The means follow
+    plain gradient descent's path to rounding, and the steps and the stop
+    are those of a descent that moves every pixel along the whole step.
     """
 
     step_size: float = 40.0
@@ -93,9 +91,10 @@ class OptimizationTrace:
     norm of the foreground gradient at the returned field, summed without
     BLAS so that it does not depend on the BLAS thread count. step_size is
     the step the instance means took (see OptimizerConfig). pixel_steps
-    counts the steps that moved every pixel, at most steps_taken; the later
-    ones stepped the instance means alone, and their entries carry l_var at
-    its value after the last pixel step.
+    counts the steps on which the pull moved the pixels, at most
+    steps_taken: the first ones, taken while the unweighted l_var was above
+    loss_tolerance * 2**-52 (above 0.0 at a tolerance of 0.0). The entries
+    after them carry that last l_var.
     """
 
     breakdowns: tuple
@@ -115,18 +114,16 @@ def optimize_embeddings(
 ) -> OptimizationTrace:
     """Descend the discriminative loss from a seeded uniform initialization.
 
-    Embeddings start uniform in [-1, +1] per coordinate. Each step
-    subtracts the step (step_size scaled by instance size, see
-    OptimizerConfig) times the analytic gradient, with every instance's
-    own-pull coefficient replaced by _PULL_RATE / step: the means follow
-    plain gradient descent, and each pixel's pull removes _PULL_RATE of its
-    overshoot past delta_v. The breakdown at initialization and after every
-    update is recorded. Stops when a positive loss_tolerance is met by the
-    hinge part alpha*l_var + beta*l_dist, or after max_steps updates,
-    whichever comes first; a tolerance of 0.0 runs all max_steps. Once a
-    positive tolerance finds every pull met, only the instance means step
-    (see OptimizerConfig). Only foreground rows move: background pixels
-    keep their initial values, since the loss does not depend on them.
+    Embeddings start uniform in [-1, +1] per coordinate. Each step moves
+    the instance means by the step (step_size scaled by instance size, see
+    OptimizerConfig) times their push and regularizer gradient, and, until
+    every pull is met, each pixel by its pull's Newton step. The breakdown
+    at initialization and after every update is recorded. Stops when a
+    positive loss_tolerance is met by the hinge part
+    alpha*l_var + beta*l_dist, or after max_steps updates, whichever comes
+    first; a tolerance of 0.0 runs all max_steps. Only foreground rows move:
+    background pixels keep their initial values, since the loss does not
+    depend on them.
     """
     if d < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {d}")
@@ -137,61 +134,47 @@ def optimize_embeddings(
     pts = _gather(field, plan)
     scale = float(plan.counts.size * plan.counts.min()) / _REFERENCE_PIXELS
     step = opt_cfg.step_size * max(1.0, scale)
-    pull = _PULL_RATE / step
 
     tol = opt_cfg.loss_tolerance
+    # The rows keep their instance means; these (C, D) copies descend.
+    l_var, means, hd = _pull_terms(pts, plan, loss_cfg)
+    start = means.copy()
     breakdowns = []
-    steps = 0
-
-    def separated(bd) -> bool:
-        return tol > 0.0 and loss_cfg.alpha * bd.l_var + loss_cfg.beta * bd.l_dist <= tol
-
-    def record(bd) -> None:
+    steps = pixel_steps = 0
+    while True:
+        direction = np.zeros_like(means)
+        bd = _mean_terms(means, plan.counts, loss_cfg, l_var, direction)
         if not bd.finite():
             raise NonFiniteLoss(
                 f"loss diverged after {steps} steps; reduce step_size" if steps
                 else "loss is not finite at initialization"
             )
         breakdowns.append(bd)
-
-    def advance(rows: np.ndarray, direction: np.ndarray) -> None:
-        nonlocal steps
-        # An overflow here leaves inf or nan rows, which raise below.
+        separated = tol > 0.0 and loss_cfg.alpha * l_var + loss_cfg.beta * bd.l_dist <= tol
+        if separated or steps == opt_cfg.max_steps:
+            break
+        # An overflow here leaves inf or nan means, which raise below.
         with np.errstate(over="ignore", invalid="ignore"):
             direction *= step
-            rows -= direction
+            means -= direction
         steps += 1
-        if not np.all(np.isfinite(rows)):
+        if not np.all(np.isfinite(means)):
             raise NonFiniteLoss(f"embeddings diverged after {steps} steps; reduce step_size")
-
-    bd, grad = _value_and_grad(pts, plan, loss_cfg, pull)
-    record(bd)
-    # Every pixel steps until its pull is met to the tolerance's rounding
-    # level. The test is unweighted: with alpha 0 the pull still moves the
-    # pixels.
-    while (not separated(bd) and steps < opt_cfg.max_steps
-           and not (tol > 0.0 and bd.l_var <= tol * 2.0**-52)):
-        advance(pts, grad)
-        bd, grad = _value_and_grad(pts, plan, loss_cfg, pull)
-        record(bd)
-    pixel_steps = steps
-    if not separated(bd) and steps < opt_cfg.max_steps:
-        # Each later step moves every instance rigidly along its mean's step,
-        # so only the means descend; l_var keeps its value at the switch.
-        means = _instance_means(pts, plan)
-        start = means.copy()
-        direction = np.zeros_like(means)
-        _mean_terms(means, plan.counts, loss_cfg, bd.l_var, direction)
-        while not separated(bd) and steps < opt_cfg.max_steps:
-            advance(means, direction)
-            direction = np.zeros_like(means)
-            bd = _mean_terms(means, plan.counts, loss_cfg, bd.l_var, direction)
-            record(bd)
-        for (lo, hi), shift in zip(plan.spans, means - start):
-            pts[lo:hi] += shift
+        # Until the pull is met to the tolerance's rounding level, each row
+        # takes its pull's Newton step less the instance's mean of it. The
+        # test is unweighted: with alpha 0 the pull still moves the rows.
+        if l_var > tol * 2.0**-52:
+            shift = _instance_means(hd, plan)
+            for k, (lo, hi) in enumerate(plan.spans):
+                hd[lo:hi] -= shift[k]
+                pts[lo:hi] += hd[lo:hi]
+            pixel_steps += 1
+            l_var, _, hd = _pull_terms(pts, plan, loss_cfg)
+    del hd  # free the (n, D) pull vectors before the final gradient forms its own
+    for (lo, hi), moved in zip(plan.spans, means - start):
+        pts[lo:hi] += moved
     field.reshape(-1, d)[plan.fg] = pts
-    reason = "loss_tolerance" if separated(bd) else "max_steps"
-    # grad is the preconditioned direction; the trace reports the gradient.
+    reason = "loss_tolerance" if separated else "max_steps"
     grad = _value_and_grad(pts, plan, loss_cfg)[1]
     # einsum, not np.linalg.norm: a multi-threaded ddot splits the sum by
     # thread count, and leaves an OpenBLAS worker spinning after it.

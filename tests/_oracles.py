@@ -123,6 +123,54 @@ def oracle_grad_closed_form(emb: np.ndarray, labels: np.ndarray, alpha, beta, ga
     return grad
 
 
+def _raster_rows(labels: np.ndarray):
+    """(fg, ids, counts): the raster index, 0-based instance and count of each foreground row."""
+    flat = labels.ravel()
+    fg = np.flatnonzero(flat)
+    ids = flat[fg] - 1
+    counts = np.bincount(ids, minlength=int(flat.max())).astype(np.float64)
+    return fg, ids, counts
+
+
+def _raster_segment_sum(rows, ids, c):
+    """Per-instance sums of raster-order rows, one bincount per embedding dimension."""
+    return np.stack([np.bincount(ids, weights=col, minlength=c) for col in rows.T], axis=1)
+
+
+def _raster_pull(pts, ids, counts, dv):
+    """(l_var, means, hd) of raster-order rows; hd_k = [|d_k| - dv]+ * d_k/|d_k|."""
+    c = counts.size
+    means = _raster_segment_sum(pts, ids, c) / counts[:, None]
+    diff = means[ids] - pts
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hinge = np.maximum(dist - dv, 0.0)
+    l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
+    with np.errstate(invalid="ignore"):
+        ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
+    return l_var, means, ratio[:, None] * diff
+
+
+def _raster_mean_terms(means, counts, beta, gamma, dd, table):
+    """(l_dist, l_reg) of the means; table gains each instance's push and regularizer rows."""
+    c = counts.size
+    l_dist = 0.0
+    if c > 1:
+        gram = means @ means.T
+        sq = np.diag(gram)
+        sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
+        push = np.maximum(2.0 * dd - sep, 0.0)
+        np.fill_diagonal(push, 0.0)
+        l_dist = float((push * push).sum() / (c * (c - 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.where((push > 0.0) & (sep > 0.0), push / sep, 0.0)
+        acc = coef.sum(axis=1)[:, None] * means - coef @ means
+        table -= (4.0 * beta / (c * (c - 1) * counts))[:, None] * acc
+    norms = np.sqrt(np.einsum("ij,ij->i", means, means))
+    reg = np.divide(gamma / (c * counts), norms, out=np.zeros_like(norms), where=norms > 0.0)
+    table += reg[:, None] * means
+    return l_dist, float(norms.mean())
+
+
 def oracle_value_and_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamma, dv, dd,
                           pull=None):
     """((l_var, l_dist, l_reg, total), gradient) from the raster-order kernel.
@@ -135,45 +183,13 @@ def oracle_value_and_grad(emb: np.ndarray, labels: np.ndarray, alpha, beta, gamm
     own-pull coefficient 2*alpha/(C*n_c), as in oracle_grad_closed_form.
     """
     h, w, d = emb.shape
-    flat = labels.ravel()
-    fg = np.flatnonzero(flat)
-    ids = flat[fg] - 1
-    c = int(flat.max())
-    counts = np.bincount(ids, minlength=c).astype(np.float64)
-    pts = emb.reshape(-1, d)[fg]
-
-    def segment_sum(rows):
-        return np.stack([np.bincount(ids, weights=col, minlength=c) for col in rows.T], axis=1)
-
-    means = segment_sum(pts) / counts[:, None]
-    diff = means[ids] - pts
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    hinge = np.maximum(dist - dv, 0.0)
-    l_var = float((np.bincount(ids, weights=hinge * hinge, minlength=c) / counts).mean())
-    l_dist = 0.0
-    if c > 1:
-        gram = means @ means.T
-        sq = np.diag(gram)
-        sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
-        push = np.maximum(2.0 * dd - sep, 0.0)
-        np.fill_diagonal(push, 0.0)
-        l_dist = float((push * push).sum() / (c * (c - 1)))
-    norms = np.sqrt(np.einsum("ij,ij->i", means, means))
-    l_reg = float(norms.mean())
-    total = float(alpha * l_var + beta * l_dist + gamma * l_reg)
-
+    fg, ids, counts = _raster_rows(labels)
+    c = counts.size
+    l_var, means, hd = _raster_pull(emb.reshape(-1, d)[fg], ids, counts, dv)
     a = 2.0 * alpha / (c * counts) if pull is None else np.full(c, pull)
-    with np.errstate(invalid="ignore"):
-        ratio = np.divide(hinge, dist, out=np.zeros_like(hinge), where=hinge > 0.0)
-    hd = ratio[:, None] * diff
-    table = (a / counts)[:, None] * segment_sum(hd)
-    if c > 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where((push > 0.0) & (sep > 0.0), push / sep, 0.0)
-        acc = coef.sum(axis=1)[:, None] * means - coef @ means
-        table -= (4.0 * beta / (c * (c - 1) * counts))[:, None] * acc
-    reg = np.divide(gamma / (c * counts), norms, out=np.zeros_like(norms), where=norms > 0.0)
-    table += reg[:, None] * means
+    table = (a / counts)[:, None] * _raster_segment_sum(hd, ids, c)
+    l_dist, l_reg = _raster_mean_terms(means, counts, beta, gamma, dd, table)
+    total = float(alpha * l_var + beta * l_dist + gamma * l_reg)
     rows = table[ids]
     rows -= a[ids, None] * hd
     grad = np.zeros((h * w, d))
@@ -213,6 +229,49 @@ def oracle_descent(labels: np.ndarray, d: int, alpha, beta, gamma, dv, dd,
             raise FloatingPointError(f"loss diverged after {steps} steps; reduce step_size")
         entries.append(terms)
     return entries, x, steps, "loss_tolerance" if met(terms) else "max_steps"
+
+
+def oracle_loop_descent(labels: np.ndarray, d: int, alpha, beta, gamma, dv, dd,
+                        step: float, max_steps: int, tol: float, seed: int):
+    """The package's descent loop on raster-order rows.
+
+    From the seeded uniform field in [-1, 1], each step moves the (C, D)
+    instance means by -step times their push and regularizer rows, and,
+    while the unweighted l_var is above tol * 2**-52, every foreground row x
+    of instance c by its pull vector hd less the instance's mean pull vector,
+    which leaves its instance mean in place. At the end each instance's rows
+    move by its mean's displacement. The stop and the errors are those of
+    oracle_descent. Returns (entries, field, steps, pixel_steps,
+    stop_reason), pixel_steps counting the steps that moved the rows.
+    """
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=labels.shape + (d,))
+    fg, ids, counts = _raster_rows(labels)
+    pts = x.reshape(-1, d)[fg]
+    l_var, means, hd = _raster_pull(pts, ids, counts, dv)
+    start = means.copy()
+    entries = []
+    steps = pixel_steps = 0
+    while True:
+        direction = np.zeros_like(means)
+        l_dist, l_reg = _raster_mean_terms(means, counts, beta, gamma, dd, direction)
+        terms = (l_var, l_dist, l_reg, float(alpha * l_var + beta * l_dist + gamma * l_reg))
+        if not all(math.isfinite(t) for t in terms):
+            raise FloatingPointError(f"loss diverged after {steps} steps; reduce step_size"
+                                     if steps else "loss is not finite at initialization")
+        entries.append(terms)
+        met = tol > 0.0 and alpha * l_var + beta * l_dist <= tol
+        if met or steps == max_steps:
+            break
+        means = means - step * direction
+        steps += 1
+        if not np.all(np.isfinite(means)):
+            raise FloatingPointError(f"embeddings diverged after {steps} steps; reduce step_size")
+        if l_var > tol * 2.0**-52:
+            pts = pts + (hd - (_raster_segment_sum(hd, ids, counts.size) / counts[:, None])[ids])
+            pixel_steps += 1
+            l_var, _, hd = _raster_pull(pts, ids, counts, dv)
+    x.reshape(-1, d)[fg] = pts + (means - start)[ids]
+    return entries, x, steps, pixel_steps, "loss_tolerance" if met else "max_steps"
 
 
 # ---------------------------------------------------------------------------

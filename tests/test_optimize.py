@@ -1,4 +1,6 @@
 """Gradient descent driver."""
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from instance_embed import (
     gen_scene,
     optimize_embeddings,
 )
-from _oracles import oracle_descent, oracle_grad_closed_form
+from _oracles import oracle_descent, oracle_grad_closed_form, oracle_loop_descent
 
 
 def _two_band_labels(h=16, w=16):
@@ -95,9 +97,9 @@ class TestDescent:
     def test_means_follow_plain_descent(self):
         # x <- x - step * grad(x), with step = step_size * max(1, C*n_min/4096),
         # through the public gradient: the pull rows of each instance sum to
-        # zero, so rescaling them leaves every instance mean on this path.
-        # At the default tolerance the 90x64 two-band map switches to stepping its
-        # means alone once every pull is met, which keeps them on it too.
+        # zero, so moving the rows by the pull's Newton step instead leaves
+        # every instance mean on this path. At the default tolerance the
+        # pull stops moving the 90x64 two-band map's rows once it is met.
         loss_cfg = DiscriminativeConfig()
         d = 3
         cases = [
@@ -131,6 +133,25 @@ class TestDescent:
         background = labels.values == 0
         np.testing.assert_array_equal(trace.final.values[background], x[background])
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.0])
+    def test_pull_steps_keep_instance_means(self, alpha):
+        # with no push or regularizer the means stay put, so only the pull
+        # moves the rows, alpha 0 included; each mean, summed exactly, moves
+        # by at most 1e-15 of its length (1.7e-16 measured)
+        labels = _two_band_labels()
+        loss_cfg = DiscriminativeConfig(alpha=alpha, beta=0.0, gamma=0.0, delta_v=0.1)
+        opt = OptimizerConfig(max_steps=5, loss_tolerance=0.0, seed=3)
+        trace = optimize_embeddings(labels, 4, loss_cfg, opt)
+        assert trace.pixel_steps == trace.steps_taken == 5
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(16, 16, 4))
+        for ident in (1, 2):
+            inside = labels.values == ident
+            before, after = x[inside], trace.final.values[inside]
+            assert np.abs(after - before).max() > 0.1
+            mean = np.array([math.fsum(b) for b in before.T]) / inside.sum()
+            drift = np.array([math.fsum(a) for a in after.T]) / inside.sum() - mean
+            assert np.linalg.norm(drift) <= 1e-15 * np.linalg.norm(mean)
+
     @pytest.mark.parametrize("labels", [_two_band_labels(8, 8), _two_band_labels(10, 9)])
     def test_one_step_matches_loop_oracle(self, labels):
         # one update is x - step * (the closed-form gradient with every
@@ -160,6 +181,20 @@ class TestStopping:
         rng = np.random.default_rng(5)
         want = rng.uniform(-1.0, 1.0, size=(8, 8, 3))
         np.testing.assert_allclose(trace.final.values, want, rtol=0, atol=0)
+
+    def test_stop_at_step_zero_returns_initialization(self):
+        # two one-pixel instances further apart than 2*delta_d meet the
+        # tolerance before any step, so neither the means nor the rows move
+        lab = np.zeros((4, 4), dtype=np.int64)
+        lab[1, 2] = 1
+        lab[3, 0] = 2
+        trace = optimize_embeddings(
+            LabelMap(lab), 3, DiscriminativeConfig(delta_d=0.01),
+            OptimizerConfig(loss_tolerance=1e-3, seed=5),
+        )
+        assert (trace.steps_taken, trace.pixel_steps, trace.stop_reason) == (0, 0, "loss_tolerance")
+        want = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 4, 3))
+        np.testing.assert_array_equal(trace.final.values, want)
 
     def test_tolerance_stops_early(self):
         labels = _two_band_labels()
@@ -226,8 +261,9 @@ class TestStopping:
     @pytest.mark.parametrize("step_size", [1e300, 1.7e308])
     def test_both_phases_raise_nonfinite_like_the_oracle(self, tol, step_size):
         # two one-pixel instances: every pull is met from the start, so at
-        # the default tolerance only the means step, and at 0.0 every pixel
-        # does. 1e300 overflows the loss, 1.7e308 the embeddings.
+        # either tolerance no step moves the rows and only the means step,
+        # where oracle_descent steps every pixel. 1e300 overflows the loss,
+        # 1.7e308 the embeddings.
         lab = np.zeros((4, 4), dtype=np.int64)
         lab[1, 2] = 1
         lab[3, 0] = 2
@@ -235,7 +271,7 @@ class TestStopping:
         finite = optimize_embeddings(
             LabelMap(lab), 4, loss_cfg, OptimizerConfig(max_steps=3, loss_tolerance=tol)
         )
-        assert finite.pixel_steps == (3 if tol == 0.0 else 0)
+        assert finite.pixel_steps == 0
         with pytest.raises(NonFiniteLoss) as err:
             optimize_embeddings(
                 LabelMap(lab), 4, loss_cfg, OptimizerConfig(step_size=step_size, loss_tolerance=tol)
@@ -244,6 +280,14 @@ class TestStopping:
             oracle_descent(lab, 4, *_loss_args(loss_cfg), step_size, 600, tol, 0)
         assert str(err.value) == str(want.value)
         assert str(err.value).startswith("loss" if step_size == 1e300 else "embeddings")
+
+    def test_overflowing_means_raise_nonfinite_without_warning(self):
+        # the suite turns a RuntimeWarning into an error, so an overflow in
+        # the push and regularizer table would raise that instead
+        scene = gen_scene(SceneConfig())
+        with pytest.raises(NonFiniteLoss, match="loss diverged after 1 steps"):
+            optimize_embeddings(scene.labels, 8, DiscriminativeConfig(),
+                                OptimizerConfig(step_size=1e308))
 
     def test_large_step_stays_finite_and_recovers_instances(self):
         # the pull runs at a fixed rate whatever step_size is, so a huge step
@@ -282,29 +326,39 @@ def _loss_args(cfg):
 
 
 class TestOracleDescent:
-    """The descent against oracle_descent, which steps every pixel on every step.
+    """The descent against two raster-order oracles.
 
-    Once every pull is met, the package steps only the instance means and
-    moves each instance's rows by its mean's displacement at the end.
+    oracle_loop_descent is the package's loop, which steps the instance
+    means and the rows apart, and must match it bit for bit. oracle_descent
+    steps every pixel along the whole direction on every step, so each mean
+    is recomputed from its pixels and rounds differently; it must give the
+    same steps, stop and partition.
     """
 
     @staticmethod
     def _run(scene, loss_cfg, opt):
         trace = optimize_embeddings(scene.labels, 8, loss_cfg, opt)
-        oracle = oracle_descent(
-            scene.labels.values, 8, *_loss_args(loss_cfg), trace.step_size,
-            opt.max_steps, opt.loss_tolerance, opt.seed,
-        )
+        args = (scene.labels.values, 8, *_loss_args(loss_cfg), trace.step_size,
+                opt.max_steps, opt.loss_tolerance, opt.seed)
         got = [(b.l_var, b.l_dist, b.l_reg, b.total) for b in trace.breakdowns]
-        return trace, got, oracle
+        entries, field, steps, pixel_steps, reason = oracle_loop_descent(*args)
+        assert got == entries
+        np.testing.assert_array_equal(trace.final.values, field)
+        assert (trace.steps_taken, trace.pixel_steps, trace.stop_reason) == (
+            steps, pixel_steps, reason)
+        return trace, got, oracle_descent(*args)
 
     def _check(self, scene, loss_cfg, opt):
         trace, got, (entries, field, steps, reason) = self._run(scene, loss_cfg, opt)
         assert (trace.steps_taken, trace.stop_reason) == (steps, reason)
         k = trace.pixel_steps
-        assert 0 < k < trace.steps_taken  # the switch fired
-        assert got[:k + 1] == entries[:k + 1]  # every pixel stepped, as in the oracle
-        assert all(g[0] == got[k][0] for g in got[k:])  # l_var held at the switch
+        assert 0 < k < trace.steps_taken  # the pull was met before the stop
+        assert all(g[0] == got[k][0] for g in got[k:])  # l_var held from then on
+        # The oracle moves each pixel by its instance's whole step, not by
+        # its pull alone: l_var reads up to 2.8e-20 apart over the pull's
+        # steps.
+        np.testing.assert_allclose([g[0] for g in got[:k + 1]], [e[0] for e in entries[:k + 1]],
+                                   rtol=0, atol=1e-18)
         # The oracle recomputes each mean from its pixels every step, which
         # rounds more than stepping the means: on the 64 px map at the
         # default tolerance the last l_dist entries differ by 1.3e-12
@@ -334,13 +388,19 @@ class TestOracleDescent:
         self._check(scene, DiscriminativeConfig(), OptimizerConfig(loss_tolerance=tol, seed=seed))
 
     def test_zero_tolerance_is_the_oracle_bit_for_bit(self):
+        # at 0.0 the rows move while l_var > 0: the first 15 of the 60 steps
+        # here. Later steps of oracle_descent move each pixel by its mean's
+        # step alone, so the fields agree to rounding (2.4e-15 measured).
         scene = gen_scene(SceneConfig(num_instances=2, layout="fork", seed=3))
         opt = OptimizerConfig(max_steps=60, loss_tolerance=0.0, seed=3)
         trace, got, (entries, field, steps, reason) = self._run(scene, DiscriminativeConfig(), opt)
-        assert trace.pixel_steps == trace.steps_taken == steps == 60
+        assert trace.steps_taken == steps == 60
         assert trace.stop_reason == reason == "max_steps"
-        assert got == entries
-        np.testing.assert_array_equal(trace.final.values, field)
+        k = trace.pixel_steps
+        assert [g[0] > 0.0 for g in got] == [i < k for i in range(61)]
+        assert 0 < k < 60
+        np.testing.assert_allclose([g[0] for g in got], [e[0] for e in entries], rtol=0, atol=1e-18)
+        np.testing.assert_allclose(trace.final.values, field, rtol=0, atol=1e-13)
 
     def test_zero_alpha_still_steps_every_pixel_first(self):
         # with alpha 0 the pull still moves every pixel; the switch tests the
