@@ -10,7 +10,6 @@ for stacked stride-1 deformable kernels rounds out the toolkit.
 from .core import (
     BinaryMask,
     EmbeddingField,
-    Grid2D,
     LabelMap,
     validate_pair,
 )
@@ -93,7 +92,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMask",
     "EmbeddingField",
-    "Grid2D",
     "LabelMap",
     "validate_pair",
     "ConfigError",

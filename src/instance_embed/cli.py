@@ -104,18 +104,18 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             f"{fileio.MAX_LABEL} instance labels; raise cluster.merge_tolerance or "
             "cluster.min_cluster_pixels"
         )
-    instances = result.assignment.values + 1
-    fileio.write_labels(out / "instances.pgm", LabelMap(instances))
+    fileio.write_labels(out / "instances.pgm", result.instances)
     # Each predicted box is scored by its basin's share of the foreground.
+    basin = result.basin_pixels
     total_fg = max(mask.count(), 1)
-    scores = [min(1.0, float(b) / total_fg) for b in result.basin_pixels]
-    fileio.write_boxes(out / "pred_boxes.json", [label_boxes(instances, scores)])
+    scores = [min(1.0, float(b) / total_fg) for b in basin]
+    fileio.write_boxes(out / "pred_boxes.json", [label_boxes(result.instances.values, scores)])
     fileio.write_json(
         out / "modes.json",
         {
             "num_clusters": result.num_clusters,
             "modes": [list(m) for m in result.modes],
-            "basin_pixels": [int(b) for b in result.basin_pixels],
+            "basin_pixels": [int(b) for b in basin],
             "dropped_seeds": search.dropped_seeds,
             "unconverged_seeds": search.unconverged_seeds,
         },
@@ -127,10 +127,16 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             search.unconverged_seeds, seeds, 100.0 * search.unconverged_seeds / seeds,
             search.passes,
         )
+    dissolved = len(search.modes) - result.num_clusters
+    if not result.num_clusters:
+        log.warning(
+            "no cluster kept: %d mean-shift modes, none with at least %d pixels; "
+            "%d foreground pixels stay unassigned",
+            dissolved, max(cfg.cluster.min_cluster_pixels, 1), mask.count(),
+        )
     log.info(
-        "found %d clusters in %.3f s (%d passes, %d row updates, %.2f us/row update)",
-        result.num_clusters, seconds, search.passes, search.row_updates,
-        1e6 * seconds / search.row_updates,
+        "found %d clusters in %.3f s (%d passes, %d row updates, %d modes dissolved as runts)",
+        result.num_clusters, seconds, search.passes, search.row_updates, dissolved,
     )
 
 

@@ -31,7 +31,7 @@ _SEED_BLOCK x _STRIP_COLUMNS strips, so passes and folds hold a few point
 matrices plus fixed-size strips. On the 128x128 four-stripe field of scene
 seed 1000 (11 648 lifted rows of 9 coordinates, 0.8 MB) the traced peak of
 mean_shift_modes is 3.5 MB, and on a 256x256 four-stripe field (scene seed
-5000, 47 104 rows, 3.2 MB) it is 15.8 MB; a fold against every kept row at
+5000, 47 104 rows, 3.2 MB) it is 12.2 MB; a fold against every kept row at
 once peaked at 8.2 and 50.4 MB.
 
 The merge is single linkage over the seed endpoints. It is found by a
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .core import BinaryMask, EmbeddingField, Grid2D, _freeze, validate_pair
+from .core import BinaryMask, EmbeddingField, LabelMap, _freeze, validate_pair
 from .errors import DegenerateShift, DegenerateVector, EmptyForeground
 from .losses import DiscriminativeConfig
 
@@ -124,27 +124,33 @@ class ModeSearch:
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Cluster modes plus the per-pixel assignment grid (-1 = background)."""
+    """Cluster modes and the instance map that labels cluster k as k+1.
+
+    Label 0 marks pixels off the mask, or every pixel when no mode survives.
+    """
 
     modes: np.ndarray  # (num_clusters, D+1) from cluster_field: lifted unit rows
-    assignment: Grid2D
-    num_clusters: int
-    basin_pixels: np.ndarray  # (num_clusters,) pixels assigned to each mode
+    instances: LabelMap
 
     def __post_init__(self):
         m = _freeze(self.modes, np.float64)
-        b = _freeze(self.basin_pixels, np.int64)
         object.__setattr__(self, "modes", m)
-        object.__setattr__(self, "basin_pixels", b)
-        if m.shape[0] != self.num_clusters or b.shape[0] != self.num_clusters:
-            raise ValueError("modes/basin_pixels length must equal num_clusters")
-        if self.num_clusters:
-            norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-            if np.abs(norms - 1.0).max() > 1e-9:
-                raise ValueError("every mode must have unit norm within 1e-9")
-        a = self.assignment.values
-        if a.min(initial=-1) < -1 or a.max(initial=-1) > self.num_clusters - 1:
-            raise ValueError("assignment indices must lie in {-1, 0..num_clusters-1}")
+        norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+        if np.abs(norms - 1.0).max(initial=0.0) > 1e-9:
+            raise ValueError("every mode must have unit norm within 1e-9")
+        k = m.shape[0]
+        # k distinct non-zero labels, the largest k: exactly 1..k
+        if self.instances.num_instances != k or self.instances.values.max() != k:
+            raise ValueError(f"instance labels must be exactly 1..{k}, one per mode")
+
+    @property
+    def num_clusters(self) -> int:
+        return self.modes.shape[0]
+
+    @property
+    def basin_pixels(self) -> np.ndarray:
+        """(num_clusters,) pixels labelled with each cluster."""
+        return np.bincount(self.instances.values.ravel())[1:]
 
 
 def flatten_foreground(
@@ -439,11 +445,12 @@ def assign_to_modes(
     """Assign every point to its angularly nearest mode and dissolve runts.
 
     x_points holds one row per mask-1 pixel in row-major order, as
-    flatten_foreground returns them; the assignment grid has the mask's
-    shape and -1 off the mask. Clusters owning fewer than min_cluster_pixels
-    pixels, or no pixel at all, are dissolved and their pixels reassigned
-    to the nearest surviving mode; ties go to the lowest mode index. With no
-    mode or no survivor at all, every pixel is left unassigned (-1).
+    flatten_foreground returns them; the instance map has the mask's shape,
+    label k+1 on the pixels of the k-th surviving mode and 0 off the mask.
+    Clusters owning fewer than min_cluster_pixels pixels, or no pixel at
+    all, are dissolved and their pixels reassigned to the nearest surviving
+    mode; ties go to the lowest mode index. With no mode or no survivor at
+    all, every pixel is left at 0.
     """
     if modes.ndim != 2:
         raise ValueError("modes must be an (M, D) matrix")
@@ -453,22 +460,19 @@ def assign_to_modes(
             f"{x_points.shape[0]} point rows for a mask that selects {pixels.size} pixels"
         )
     n_modes = modes.shape[0]
-    grid = np.full(mask.values.shape, -1, dtype=np.int64)
+    labels = np.zeros(mask.values.shape, dtype=np.int64)
     keep = np.zeros(n_modes, dtype=bool)
     if n_modes:
         dots = x_points @ modes.T
         assign = np.argmax(dots, axis=1)
         keep = np.bincount(assign, minlength=n_modes) >= max(cfg.min_cluster_pixels, 1)
     if not keep.any():
-        empty = np.zeros((0, modes.shape[1]))
-        return ClusterResult(empty, Grid2D(grid), 0, np.zeros(0, dtype=np.int64))
+        return ClusterResult(np.zeros((0, modes.shape[1])), LabelMap(labels))
 
     # A pixel whose nearest mode survives picks that same mode here too.
     survivors = np.flatnonzero(keep)
-    final = np.argmax(dots[:, survivors], axis=1)
-    grid.ravel()[pixels] = final
-    basin = np.bincount(final, minlength=survivors.size)
-    return ClusterResult(modes[survivors], Grid2D(grid), int(survivors.size), basin)
+    labels.ravel()[pixels] = np.argmax(dots[:, survivors], axis=1) + 1
+    return ClusterResult(modes[survivors], LabelMap(labels))
 
 
 def cluster_field(
@@ -482,9 +486,9 @@ def cluster_field(
     Takes raw embeddings: flatten_foreground lifts the mask-1 vectors by
     lift, the delta_v of the loss that made the field, and scales them to
     unit norm, so the modes have D+1 coordinates. The result depends on the
-    field's scale, not only on its directions. Returns the assignment and
-    the mode search it came from, whose seed counters the assignment does
-    not carry.
+    field's scale, not only on its directions. Returns the ClusterResult,
+    whose instance map labels cluster k as k+1, and the mode search it came
+    from, whose seed counters the result does not carry.
     """
     x_points = flatten_foreground(emb, mask, lift)
     search = mean_shift_modes(x_points, cfg)

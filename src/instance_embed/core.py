@@ -44,18 +44,6 @@ class _Plane:
 
 
 @dataclass(frozen=True)
-class Grid2D(_Plane):
-    """Dense row-major 2D grid of per-pixel scalar values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values)
-        _check_plane(arr, "Grid2D", "H", "W")
-        object.__setattr__(self, "values", _freeze(arr, arr.dtype))
-
-
-@dataclass(frozen=True)
 class EmbeddingField(_Plane):
     """H x W grid of D-dimensional real vectors."""
 

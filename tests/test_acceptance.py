@@ -170,7 +170,7 @@ def _mean_instance_iou(gt: np.ndarray, pred: np.ndarray, count: int,
     for ident in range(1, count + 1):
         g = gt == ident
         best = 0.0
-        for j in range(clusters):
+        for j in range(1, clusters + 1):
             p = pred == j
             inter = int(np.logical_and(g, p).sum())
             union = int(np.logical_or(g, p).sum())
@@ -197,12 +197,11 @@ def test_pipeline_recovers_instances(verdict):
         opt_cfg = OptimizerConfig(seed=i, **PIPELINE_OPT)
         trace = optimize_embeddings(scene.labels, PIPELINE_DIM, loss_cfg, opt_cfg)
         result, _ = cluster_field(trace.final, scene.drivable_mask, PIPELINE_VMF)
-        mean_iou = _mean_instance_iou(scene.labels.values, result.assignment.values,
+        mean_iou = _mean_instance_iou(scene.labels.values, result.instances.values,
                                       count, result.num_clusters)
         if result.num_clusters == count and mean_iou >= 0.95:
             ok_recovery += 1
-        m50 = instance_map50_labels(LabelMap(result.assignment.values + 1),
-                                    scene.labels)
+        m50 = instance_map50_labels(result.instances, scene.labels)
         if m50 == 1.0:
             ok_map50 += 1
     elapsed, cpu = time.monotonic() - t0, time.process_time() - cpu0

@@ -1,5 +1,6 @@
 """Command-line behavior: files written, exit codes, reproducibility."""
 import json
+import logging
 import os
 import re
 import subprocess
@@ -8,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from instance_embed import Detection, DetectionSet, fileio
+from instance_embed import (
+    Detection, DetectionSet, EmbeddingField, cluster_field, fileio, load_run_config,
+)
 from instance_embed.cli import main
 
 
@@ -412,6 +415,42 @@ class TestPipeline:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["instance_segmentation"]["map50"] == 1.0
 
+    def test_instances_are_the_cluster_result_map(self, tmp_path):
+        cfg = self._config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+        run_cfg = load_run_config(cfg)
+        mask = fileio.read_mask(out / "drivable.pgm")
+        result, _ = cluster_field(
+            EmbeddingField(fileio.read_embf(out / "embeddings.embf")), mask,
+            run_cfg.cluster, run_cfg.loss.delta_v,
+        )
+        assert result.num_clusters == 2
+        np.testing.assert_array_equal(
+            fileio.read_labels(out / "instances.pgm").values, result.instances.values
+        )
+        (boxes,) = fileio.read_boxes(out / "pred_boxes.json")
+        assert [d.score for d in boxes.detections] == [
+            float(b) / mask.count() for b in result.basin_pixels
+        ]
+
+    def test_no_cluster_kept_warns_once(self, tmp_path, monkeypatch, caplog):
+        # the default scene's two modes each own fewer than 100000 pixels
+        cfg = _write_config(tmp_path, {"cluster": {"min_cluster_pixels": 100000}})
+        for level in ("error", "info"):
+            monkeypatch.setenv("INSTANCE_EMBED_LOG", level)
+            assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / level)]) == 0
+        names = sorted(p.name for p in (tmp_path / "error").iterdir())
+        assert _dir_bytes(tmp_path / "error", names) == _dir_bytes(tmp_path / "info", names)
+        assert not fileio.read_labels(tmp_path / "info" / "instances.pgm").values.any()
+        fg = fileio.read_mask(tmp_path / "info" / "drivable.pgm").count()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            f"no cluster kept: 2 mean-shift modes, none with at least 100000 pixels; "
+            f"{fg} foreground pixels stay unassigned"
+        ]
+        assert "found 0 clusters" in caplog.text and "2 modes dissolved as runts" in caplog.text
+
     @staticmethod
     def _run_in_subprocess(cfg, out, **env):
         run = subprocess.run(
@@ -438,13 +477,14 @@ class TestPipeline:
             runs["info"].stderr,
         )
         found = re.search(
-            r"found \d+ clusters in [\d.]+ s \((\d+) passes, (\d+) row updates, "
-            r"[\d.]+ us/row update\)",
+            r"found (\d+) clusters in [\d.]+ s \((\d+) passes, (\d+) row updates, "
+            r"(\d+) modes dissolved as runts\)",
             runs["info"].stderr,
         )
         assert found
-        passes, row_updates = int(found[1]), int(found[2])
+        passes, row_updates = int(found[2]), int(found[3])
         assert 1 <= passes <= 100 and row_updates >= passes
+        assert int(found[1]) == 2 and int(found[4]) == 0
         assert "WARNING" not in runs["info"].stderr  # every seed converged
 
     def test_unconverged_seeds_warn_on_stderr_only(self, tmp_path):

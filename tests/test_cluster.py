@@ -14,7 +14,7 @@ from instance_embed import (
     DiscriminativeConfig,
     EmbeddingField,
     EmptyForeground,
-    Grid2D,
+    LabelMap,
     VmfConfig,
     assign_to_modes,
     cluster_field,
@@ -533,8 +533,8 @@ class TestSeedCollapse:
                 cfg.seed_stride)
             mask = _full_mask(1, x.shape[0])
             np.testing.assert_array_equal(
-                assign_to_modes(x, mask, got.modes, cfg).assignment.values,
-                assign_to_modes(x, mask, modes, cfg).assignment.values,
+                assign_to_modes(x, mask, got.modes, cfg).instances.values,
+                assign_to_modes(x, mask, modes, cfg).instances.values,
             )
             np.testing.assert_array_equal(got.basin_seeds, basin)
             assert got.dropped_seeds == dropped
@@ -695,11 +695,12 @@ class TestAssignment:
         search = mean_shift_modes(x, cfg)
         result = assign_to_modes(x, _full_mask(h, w), search.modes, cfg)
         assert result.num_clusters == 3
-        got = result.assignment.values.ravel()
+        got = result.instances.values.ravel()
         # same partition: each planted cluster maps to exactly one mode
         for t in range(3):
             assert len(set(got[truth == t].tolist())) == 1
         assert int(result.basin_pixels.sum()) == 180
+        np.testing.assert_array_equal(result.basin_pixels, np.bincount(got)[1:])
 
     def test_runt_cluster_dissolves(self):
         rng = np.random.default_rng(6)
@@ -712,11 +713,11 @@ class TestAssignment:
         assert search.modes.shape[0] == 3
         result = assign_to_modes(x, _full_mask(1, 65), search.modes, cfg)
         assert result.num_clusters == 2
-        assert np.all(result.assignment.values >= 0)
+        assert np.all(result.instances.values >= 1)
         assert int(result.basin_pixels.sum()) == 65
         # dissolved points go to the angularly nearest survivor
-        runt_assign = result.assignment.values.ravel()[60:]
-        want = np.argmax(runt @ result.modes.T, axis=1)
+        runt_assign = result.instances.values.ravel()[60:]
+        want = np.argmax(runt @ result.modes.T, axis=1) + 1
         np.testing.assert_array_equal(runt_assign, want)
 
     def test_no_survivor_leaves_everything_unassigned(self):
@@ -726,7 +727,8 @@ class TestAssignment:
         search = mean_shift_modes(x, cfg)
         result = assign_to_modes(x, _full_mask(2, 5), search.modes, cfg)
         assert result.num_clusters == 0
-        assert np.all(result.assignment.values == -1)
+        assert result.basin_pixels.shape == (0,)
+        assert np.all(result.instances.values == 0)
 
     def test_zero_modes_leave_everything_unassigned(self):
         # what mean shift returns when every seed was dropped
@@ -736,7 +738,7 @@ class TestAssignment:
         assert result.num_clusters == 0
         assert result.modes.shape == (0, 3)
         assert result.basin_pixels.shape == (0,)
-        assert np.all(result.assignment.values == -1)
+        assert np.all(result.instances.values == 0)
 
     def test_mode_without_pixels_dissolves_at_zero_minimum(self):
         # the second mode is antipodal to every point, so it wins no pixel
@@ -745,9 +747,9 @@ class TestAssignment:
         result = assign_to_modes(x, _full_mask(2, 3), modes, VmfConfig(min_cluster_pixels=0))
         assert result.num_clusters == 1
         np.testing.assert_array_equal(result.basin_pixels, [6])
-        assert np.all(result.assignment.values == 0)
+        assert np.all(result.instances.values == 1)
 
-    def test_background_pixels_stay_negative(self):
+    def test_background_pixels_stay_zero(self):
         x, _, _ = _planted(seed=0, n_per=20)
         # place the 60 points into a 10x10 grid, leaving 40 background cells
         mask = np.zeros(100, dtype=np.uint8)
@@ -755,9 +757,9 @@ class TestAssignment:
         cfg = VmfConfig(kappa=10.0, min_cluster_pixels=4)
         search = mean_shift_modes(x, cfg)
         result = assign_to_modes(x, BinaryMask(mask.reshape(10, 10)), search.modes, cfg)
-        flat = result.assignment.values.ravel()
-        assert np.all(flat[60:] == -1)
-        assert np.all(flat[:60] >= 0)
+        flat = result.instances.values.ravel()
+        assert np.all(flat[60:] == 0)
+        assert np.all(flat[:60] >= 1)
 
     def test_scatters_rows_to_mask_pixels_in_row_major_order(self):
         mask = np.zeros((3, 4), dtype=np.uint8)
@@ -765,9 +767,9 @@ class TestAssignment:
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         modes = np.array([[1.0, 0.0], [0.0, 1.0]])
         result = assign_to_modes(x, BinaryMask(mask), modes, VmfConfig(min_cluster_pixels=1))
-        want = np.full((3, 4), -1)
-        want[0, 2], want[1, 0], want[2, 3] = 0, 1, 0
-        np.testing.assert_array_equal(result.assignment.values, want)
+        want = np.zeros((3, 4))
+        want[0, 2], want[1, 0], want[2, 3] = 1, 2, 1
+        np.testing.assert_array_equal(result.instances.values, want)
 
     def test_row_count_must_match_mask(self):
         x = _bundle(np.random.default_rng(5), _unit([1, 0, 0]), 6, 0.01, 3)
@@ -867,7 +869,7 @@ class TestClusterField:
         mask = BinaryMask(np.ones((12, 15), dtype=np.uint8))
         result, _ = cluster_field(emb, mask, VmfConfig(kappa=10.0))
         assert result.num_clusters == 3
-        got = result.assignment.values.ravel()
+        got = result.instances.values.ravel()
         for t in range(3):
             assert len(set(got[truth == t].tolist())) == 1
 
@@ -878,7 +880,7 @@ class TestClusterField:
         a, _ = cluster_field(emb_raw, mask, VmfConfig(kappa=10.0))
         b, _ = cluster_field(self._field_from_points(x, 12, 15), mask, VmfConfig(kappa=10.0))
         assert a.num_clusters == b.num_clusters
-        np.testing.assert_array_equal(a.assignment.values, b.assignment.values)
+        np.testing.assert_array_equal(a.instances.values, b.instances.values)
 
     @pytest.mark.parametrize("seed", [2, 12])
     def test_cli_drops_modes_that_win_no_pixel(self, tmp_path, seed):
@@ -914,11 +916,18 @@ class TestConfigAndResultValidation:
             VmfConfig(merge_tolerance=0.0)
 
     def test_non_unit_mode_rejected(self):
-        grid = Grid2D(np.zeros((1, 1), dtype=np.int64))
-        with pytest.raises(ValueError):
-            ClusterResult(np.array([[2.0, 0.0]]), grid, 1, np.array([1]))
+        instances = LabelMap(np.ones((1, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="unit norm"):
+            ClusterResult(np.array([[2.0, 0.0]]), instances)
 
     def test_out_of_range_assignment_rejected(self):
-        grid = Grid2D(np.full((1, 1), 5, dtype=np.int64))
-        with pytest.raises(ValueError):
-            ClusterResult(np.array([[1.0, 0.0]]), grid, 1, np.array([1]))
+        # a label above the mode count
+        instances = LabelMap(np.array([[1, 2]]))
+        with pytest.raises(ValueError, match=r"exactly 1\.\.1"):
+            ClusterResult(np.array([[1.0, 0.0]]), instances)
+
+    def test_missing_label_rejected(self):
+        # two modes, but no pixel carries label 1
+        instances = LabelMap(np.array([[0, 2]]))
+        with pytest.raises(ValueError, match=r"exactly 1\.\.2"):
+            ClusterResult(np.array([[1.0, 0.0], [0.0, 1.0]]), instances)

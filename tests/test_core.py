@@ -6,7 +6,6 @@ from instance_embed import (
     BinaryMask,
     DimensionMismatch,
     EmbeddingField,
-    Grid2D,
     LabelMap,
     OffsetField,
     validate_pair,
@@ -75,21 +74,24 @@ class TestMasks:
         with pytest.raises(ValueError):
             BinaryMask(np.array([[0, 2]], dtype=np.uint8))
 
-    def test_grid2d_shape(self):
-        g = Grid2D(np.zeros((3, 4)))
-        assert g.height == 3 and g.width == 4
-        with pytest.raises(ValueError):
-            Grid2D(np.zeros((3, 4, 5)))
+    def test_plane_rejects_extra_axis(self):
+        for make, shape in [
+            (LabelMap, (3, 4, 5)),
+            (BinaryMask, (3, 4, 5)),
+            (EmbeddingField, (3, 4, 2, 1)),
+            (OffsetField, (3, 4, 9, 2, 1)),
+        ]:
+            with pytest.raises(ValueError, match=f"{make.__name__} values must be .*ndim"):
+                make(np.zeros(shape, dtype=np.int64))
 
     def test_every_plane_reports_height_and_width(self):
         planes = [
-            Grid2D(np.zeros((3, 4))),
             EmbeddingField(np.zeros((3, 4, 2))),
             LabelMap(np.zeros((3, 4), dtype=np.int64)),
             BinaryMask(np.zeros((3, 4), dtype=np.uint8)),
             OffsetField(np.zeros((3, 4, 9, 2))),
         ]
-        assert [(p.height, p.width) for p in planes] == [(3, 4)] * 5
+        assert [(p.height, p.width) for p in planes] == [(3, 4)] * 4
 
     def test_offset_field_rejects_zero_height(self):
         with pytest.raises(ValueError, match="OffsetField needs height >= 1 and width >= 1, got 0x3"):

@@ -301,7 +301,7 @@ class TestStopping:
         assert np.all(np.isfinite(trace.final.values))
         mask = BinaryMask((labels.values > 0).astype(np.uint8))
         result, _ = cluster_field(trace.final, mask, VmfConfig())
-        got = result.assignment.values
+        got = result.instances.values
         assert result.num_clusters == 2
         for ident in (1, 2):
             assert np.unique(got[labels.values == ident]).size == 1
@@ -373,8 +373,8 @@ class TestOracleDescent:
             cluster_field(f, scene.drivable_mask, VmfConfig(), loss_cfg.delta_v)[0]
             for f in (trace.final, EmbeddingField(field))
         ]
-        np.testing.assert_array_equal(clusters[0].assignment.values,
-                                      clusters[1].assignment.values)
+        np.testing.assert_array_equal(clusters[0].instances.values,
+                                      clusters[1].instances.values)
         return trace
 
     @pytest.mark.parametrize("tol", [OptimizerConfig().loss_tolerance, 1e-3])
@@ -468,7 +468,7 @@ class TestDefaultStop:
         assert trace.stop_reason == "loss_tolerance"
         assert trace.steps_taken < OptimizerConfig().max_steps == full.steps_taken
         assert result.num_clusters == full_result.num_clusters == num_instances
-        np.testing.assert_array_equal(result.assignment.values, full_result.assignment.values)
+        np.testing.assert_array_equal(result.instances.values, full_result.instances.values)
         assert search.unconverged_seeds <= full_search.unconverged_seeds
 
     def test_one_instance_scene_stops_at_once_and_clusters_converge(self):
