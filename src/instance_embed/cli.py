@@ -96,7 +96,7 @@ def _optimize_stage(labels: LabelMap, cfg: RunConfig, out: Path) -> None:
 
 def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: Path) -> None:
     start = time.perf_counter()
-    result, search = cluster_field(emb, mask, cfg.cluster, cfg.loss.delta_v)
+    result, search = cluster_field(emb, mask, cfg.cluster, cfg.loss.delta_v, cfg.loss.delta_d)
     seconds = time.perf_counter() - start
     if result.num_clusters > fileio.MAX_LABEL:
         raise ConfigError(
@@ -118,6 +118,10 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             "basin_pixels": [int(b) for b in basin],
             "dropped_seeds": search.dropped_seeds,
             "unconverged_seeds": search.unconverged_seeds,
+            "capture_groups": search.capture_groups,
+            "unconfirmed_groups": search.unconfirmed_groups,
+            "capture_sweeps": search.capture_sweeps,
+            "merged_captures": search.merged_captures,
         },
     )
     if search.unconverged_seeds:
@@ -125,7 +129,12 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
         log.warning(
             "%d of %d mean-shift seeds (%.1f%%) still moving after %d passes",
             search.unconverged_seeds, seeds, 100.0 * search.unconverged_seeds / seeds,
-            search.passes,
+            cfg.cluster.max_iters,
+        )
+    if search.merged_captures:
+        log.warning(
+            "the mean-shift merge joined %d confirmed capture groups to another group's mode",
+            search.merged_captures,
         )
     dissolved = len(search.modes) - result.num_clusters
     if not result.num_clusters:
@@ -135,8 +144,10 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             dissolved, max(cfg.cluster.min_cluster_pixels, 1), mask.count(),
         )
     log.info(
-        "found %d clusters in %.3f s (%d passes, %d row updates, %d modes dissolved as runts)",
+        "found %d clusters in %.3f s (%d passes, %d row updates, %d modes dissolved as runts) "
+        "from %d capture groups (%d unconfirmed, %d sweeps)",
         result.num_clusters, seconds, search.passes, search.row_updates, dissolved,
+        search.capture_groups, search.unconfirmed_groups, search.capture_sweeps,
     )
 
 

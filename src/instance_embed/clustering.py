@@ -2,24 +2,42 @@
 
 Each embedding x is lifted to [x, r] / ||[x, r]|| before clustering, with r
 the loss's delta_v, so an instance whose mean lies near the origin maps near
-one pole rather than over the whole sphere. Each seed point is shifted
-toward the local mean direction under a von Mises-Fisher kernel until it
-stops moving; seed endpoints that agree in direction are merged into modes,
-and every foreground pixel is assigned to its angularly nearest mode. No
-cluster count is ever supplied: the number of recovered modes is purely a
-property of the data and the kernel width.
+one pole rather than over the whole sphere. Seed rows are shifted toward
+the local mean direction under a von Mises-Fisher kernel until they stop
+moving; endpoints that agree in direction are merged into modes, and every
+foreground pixel is assigned to its angularly nearest mode. No cluster
+count is ever supplied: the number of recovered modes is purely a property
+of the data and the kernel width.
 
-All seeds are shifted together, one pass at a time. Between passes, seeds
-still moving within merge_tolerance / 10 of each other are folded into one
-row that carries their count, and only the kept rows are shifted further;
-every reported counter is in original seeds. One kernel forms every pass's
-sums, in strips of _SEED_BLOCK rows by _STRIP_COLUMNS points: two matrix
-products against [x | 1] and one exp per strip. The weights are
+cluster_field first captures the raw embeddings as De Brabandere et al.
+(arXiv:1708.02551, section 3.2) do: the lowest unlabelled row is shifted
+with a flat kernel of the loss's delta_d to its fixed point, and every
+unlabelled row within delta_d of it joins its group. The strided seeds of
+each group then share one search row, started at the group's lifted
+centre. In the same passes up to _CHECK_ROWS of the group's own seeds,
+the farthest from its centre, are shifted as check rows; the fold stands
+only when the centre and its check rows end in one single-linkage
+component, and otherwise the group's seeds are shifted one row each. So
+the modes are still fixed points of the same vMF kernel density, and on
+a loss-trained field the search shifts about five rows per instance
+rather than one per seed. The capture stops after one sweep per seed, so
+on a field with no structure, where nearly every row is a group of its
+own, it costs about one pass over the seeds and leaves the rest as seeds
+of their own. mean_shift_modes without a capture shifts every strided
+seed.
+
+The seeds of a search move together, one pass at a time. Between passes,
+seeds still moving within merge_tolerance / 10 of each other are folded
+into one row that carries their count, and only the kept rows are shifted
+further; every reported counter is in original seeds. One kernel forms
+every pass's sums, in strips of _SEED_BLOCK rows by _STRIP_COLUMNS points:
+two matrix products against [x | 1] and one exp per strip. The weights are
 exp(kappa * (<x, y> - 1)), at most 1 for unit rows, and the second
 product's last column is their total; the rare row whose total is not
 finite or vanishes is recomputed with its own largest dot subtracted. The
-whole search runs on one OpenBLAS thread. At seed stride 1 the first pass
-shifts every point against every point, so its weights are symmetric: the
+whole search runs on one OpenBLAS thread, and the capture's O(n D) sweeps
+reduce with np.einsum, not BLAS. When every point is a seed of its own (no
+fold stands at seed stride 1) the first pass's weights are symmetric: the
 same kernel then sweeps the upper triangle only and adds each weight to
 both rows' sums.
 
@@ -28,19 +46,15 @@ rows' copy (none while every row moves) and their sums, which the new
 directions overwrite; the fold holds one copy of the kept rows. Each pass
 frees its copies before the next fold, and both pass and fold work in
 _SEED_BLOCK x _STRIP_COLUMNS strips, so passes and folds hold a few point
-matrices plus fixed-size strips. On the 128x128 four-stripe field of scene
-seed 1000 (11 648 lifted rows of 9 coordinates, 0.8 MB) the traced peak of
-mean_shift_modes is 3.5 MB, and on a 256x256 four-stripe field (scene seed
-5000, 47 104 rows, 3.2 MB) it is 12.2 MB; a fold against every kept row at
-once peaked at 8.2 and 50.4 MB.
-
-The merge is single linkage over the seed endpoints. It is found by a
-breadth-first search that expands a whole frontier at once, in the same
-_SEED_BLOCK x _STRIP_COLUMNS strips of frontier rows against the still
-unlabelled endpoints, so unconverged seeds that reach it unfolded do not
-raise the search's peak: on the field above it is 3.4 to 3.5 MB at
-max_iters 1 and 2, where a merge against all unlabelled endpoints at once
-peaked at 11.5 and 5.3 MB.
+matrices plus fixed-size strips. The merge is single linkage over the
+seed endpoints, found by a breadth-first search that expands a whole
+frontier at once in the same strips of frontier rows against the still
+unlabelled endpoints. Traced with tracemalloc (numpy 2.4.6), cluster_field
+peaks at 3.5 MB on the 128x128 four-stripe field of scene seed 1000
+(11 648 lifted rows of 9 coordinates, 0.8 MB) and at 13.8 MB on a 256x256
+four-stripe field (scene seed 5000, 47 104 rows, 3.4 MB), flatten_foreground
+and capture included. The search over every seed, the path a field takes
+when no fold stands, peaks at 3.8 and 13.2 MB there.
 """
 from __future__ import annotations
 
@@ -72,6 +86,11 @@ _TOTAL_FLOOR = 1e-100
 # to 0.27 s on one thread, against 0.35 to 0.36 s with strips as wide as
 # the point set. It must stay >= _SEED_BLOCK for the symmetric _kernel_sums.
 _STRIP_COLUMNS = 1024
+# A capture group's fold is checked by this many of its own seeds, the
+# farthest from its centre first.
+_CHECK_ROWS = 4
+# Flat-kernel sweeps after which a capture's centre stops where it is.
+_CAPTURE_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -79,7 +98,10 @@ class VmfConfig:
     """Spherical mean-shift settings.
 
     kappa is the kernel concentration (larger = narrower kernel). Seeds are
-    every seed_stride-th foreground point; stride 1 iterates every point.
+    every seed_stride-th foreground point; stride 1 takes every point. In
+    cluster_field the seeds of a confirmed capture group share one row and
+    count as that many seeds, so the stride sets which pixels check and
+    weigh the groups, and the rows shifted when a group is refused.
     merge_tolerance is transitive: seed endpoints chain into one mode
     whenever each link of the chain is within the tolerance.
     """
@@ -116,10 +138,29 @@ class ModeSearch:
     unconverged_seeds: int  # seeds still moving after max_iters; merged as usual
     passes: int  # passes over the still-moving rows
     row_updates: int  # single-row kernel updates over all passes
+    capture_groups: int = 0  # groups of the Capture the search was given
+    unconfirmed_groups: int = 0  # groups whose fold the check rows refused
+    capture_sweeps: int = 0  # the capture's O(n D) sweeps
+    merged_captures: int = 0  # confirmed groups minus the modes they end in
 
     def __post_init__(self):
         object.__setattr__(self, "modes", _freeze(self.modes, np.float64))
         object.__setattr__(self, "basin_seeds", _freeze(self.basin_seeds, np.int64))
+
+
+@dataclass(frozen=True)
+class Capture:
+    """Flat-kernel capture groups of the foreground rows, from _capture.
+
+    group[i] is the group of row i, numbered in the order the groups were
+    captured, or -1 when the sweep budget ran out first; centres[g] is
+    group g's flat-shift centre, lifted and scaled like the rows; sweeps
+    counts the capture's O(n D) distance sweeps.
+    """
+
+    group: np.ndarray  # (n,)
+    centres: np.ndarray  # (G, D+1)
+    sweeps: int
 
 
 @dataclass(frozen=True)
@@ -177,9 +218,14 @@ def flatten_foreground(
     x = emb.values.reshape(-1, emb.dim)[sel]
     if np.sqrt(np.einsum("ij,ij->i", x, x).min()) < 1e-12:
         raise DegenerateVector("cannot normalize a vector with norm < 1e-12")
-    x = np.hstack([x, np.full((x.shape[0], 1), lift)])
-    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-    return x
+    return _lift(x, lift)
+
+
+def _lift(x: np.ndarray, lift: float) -> np.ndarray:
+    """The rows [x_i, lift] scaled to unit norm; a zero row stays zero."""
+    y = np.hstack([x, np.full((x.shape[0], 1), lift)])
+    norms = np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
+    return np.divide(y, norms, out=y, where=norms > 0)
 
 
 def _augment(x_points: np.ndarray) -> np.ndarray:
@@ -360,65 +406,202 @@ def _fold_rows(pts: np.ndarray, rows: np.ndarray, weight: np.ndarray, cos_fold: 
     return kept[:n_kept]
 
 
-@_blas.single_thread()
-def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
-    """Iterate strided seeds to their modes and merge coinciding directions.
+def _capture(raw: np.ndarray, radius: float, lift: float, budget: int) -> Capture:
+    """Flat-kernel capture groups of the raw rows (arXiv:1708.02551, section 3.2).
 
-    All seeds are iterated jointly: each pass shifts every still-moving row
-    once, with one _kernel_sums call. Between passes, moving rows within
-    _FOLD_FRACTION * merge_tolerance of an earlier kept moving row are
-    folded into it (_fold_rows), and a row carries the count of original
-    seeds it stands for; a folded seed shares its row's fate from then on.
-    Seeds whose update degenerates (DegenerateShift) are dropped and
-    counted; seeds still moving after max_iters are counted as unconverged
-    and merged from where they stopped. Surviving rows are merged by single
-    linkage: rows within merge_tolerance angular distance share a mode,
-    transitively. Each mode is the renormalized seed-weighted mean of its
-    rows, and modes are sorted by descending basin seed count (ties: the
-    earliest contributing seed first). Every seed counter is in original
-    seeds; passes and row_updates count the passes and the single-row
-    updates, folded rows once each.
-
-    At seed_stride 1 the first pass sums each symmetric kernel weight once
-    (_shift_rows with symmetric=True), so its results differ from the
-    plain kernel's by rounding only. Every search runs on one OpenBLAS
-    thread, so its result does not depend on the caller's thread count,
-    and then restores that count. The count is process-wide, so this is
-    not safe to call concurrently from several Python threads that also
-    use BLAS: their products can run on one thread, and overlapping calls
-    can leave the count at 1.
+    Picks the lowest unlabelled row and shifts it, with a flat kernel of the
+    given radius, to the mean of every row within the radius, labelled or
+    not, until that set of rows stops changing or _CAPTURE_SWEEPS sweeps
+    have run. Then every unlabelled row within the radius of the centre
+    joins the group, and the picked row always does, so each capture labels
+    at least one row. Each sweep is one O(n D) pass of squared distances
+    |r|^2 - 2<r, c> + |c|^2, reduced with np.einsum rather than BLAS.
+    No capture starts once budget sweeps have run, and the rows left keep
+    group -1: on a field with no structure nearly every row is a group of
+    its own, and capturing them all would cost more than the search saves.
     """
-    if x_points.ndim != 2 or x_points.shape[0] == 0:
-        raise ValueError("point matrix must be non-empty (n, D)")
-    pts = x_points[:: cfg.seed_stride].copy()
-    a = _augment(x_points)
-    weight = np.ones(pts.shape[0], dtype=np.int64)  # original seeds per row
+    group = np.full(raw.shape[0], -1, dtype=np.int64)
+    sq = np.einsum("ij,ij->i", raw, raw)
+    r2 = radius * radius
+    centres, sweeps = [], 0
+
+    def within(c):
+        return sq - 2.0 * np.einsum("ij,j->i", raw, c) + np.einsum("j,j->", c, c) <= r2
+
+    while sweeps < budget and (unlabelled := group < 0).any():
+        i = int(unlabelled.argmax())
+        c = raw[i]
+        near = within(c)
+        sweeps += 1
+        for _ in range(_CAPTURE_SWEEPS):
+            if not near.any():
+                break
+            c = raw[near].mean(axis=0)
+            was, near = near, within(c)
+            sweeps += 1
+            if np.array_equal(near, was):  # c is the mean of the rows within reach
+                break
+        near &= unlabelled
+        near[i] = True
+        group[near] = len(centres)
+        centres.append(c)
+    return Capture(group, _lift(np.array(centres), lift), sweeps)
+
+
+def _farthest(rows: np.ndarray, start: np.ndarray, k: int) -> np.ndarray:
+    """Up to k rows, by farthest-point traversal from start in cosine distance."""
+    gap = 1.0 - np.einsum("ij,j->i", rows, start)
+    picked = []
+    for _ in range(min(k, rows.shape[0])):
+        picked.append(int(gap.argmax()))
+        np.minimum(gap, 1.0 - np.einsum("ij,j->i", rows, rows[picked[-1]]), out=gap)
+        gap[picked] = -np.inf
+    return np.array(picked, dtype=np.int64)
+
+
+def _descend(pts, moving, a, cfg: VmfConfig, weight=None, symmetric=False):
+    """Shift the rows `moving` (ascending) of pts jointly until each stops moving.
+
+    Each pass shifts every still-moving row once, with one _kernel_sums call,
+    and writes the new directions into pts. Given the rows' weight in
+    original seeds, moving rows within _FOLD_FRACTION * merge_tolerance of an
+    earlier kept moving row are folded into it between passes (_fold_rows);
+    without it, every row keeps its own path. symmetric=True says that pts
+    is all of a's points and every row moves, so the first pass sums each
+    symmetric weight once. Returns (dropped, moving, passes, row_updates):
+    the rows whose update degenerated and the rows still moving after
+    max_iters.
+    """
     dropped = np.zeros(pts.shape[0], dtype=bool)
-    moving = np.arange(pts.shape[0])
     cos_fold = math.cos(_FOLD_FRACTION * cfg.merge_tolerance)
     passes = row_updates = 0
     for it in range(cfg.max_iters):
-        if it:
+        if not moving.size:
+            break
+        if it and weight is not None:
             moving = _fold_rows(pts, moving, weight, cos_fold)
         passes += 1
         row_updates += moving.size
         # moving is ascending, so when every row moves it is all of pts.
         cur = pts if moving.size == pts.shape[0] else pts[moving]
-        # At stride 1 the first pass shifts every point against every point.
-        new, bad = _shift_rows(cur, a, cfg.kappa, it == 0 and cfg.seed_stride == 1)
+        new, bad = _shift_rows(cur, a, cfg.kappa, symmetric and it == 0)
         moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
         pts[moving] = new  # a bad row is dropped, and its row of pts never read again
         dropped[moving[bad]] = True
         moving = moving[~(bad | (moved < cfg.shift_tolerance))]
         del cur, new  # this pass's copies go before the next fold allocates
-        if moving.size == 0:
-            break
+    return dropped, moving, passes, row_updates
+
+
+def _confirm_folds(seeds, seed_group, centres, a, cfg: VmfConfig):
+    """Shift each capture group's centre with its check rows; keep the folds that hold.
+
+    seeds are the strided seed rows and seed_group their capture groups.
+    Every group with two or more seeds gets one row at its lifted centre
+    and up to _CHECK_ROWS check rows, its own seeds picked by _farthest
+    from that centre. All rows are shifted jointly and unfolded.
+    A group's fold stands when none of its rows is dropped or unconverged
+    and its centre and check rows end in one single-linkage component.
+    Returns (confirmed groups, their centres' endpoints, groups tried,
+    passes, row_updates).
+    """
+    by_group = np.argsort(seed_group, kind="stable")
+    # the uncaptured seeds (group -1) sort first; the last split is empty
+    members = np.split(by_group, np.cumsum(np.bincount(seed_group + 1)))[1:-1]
+    tried = [g for g, m in enumerate(members) if m.size >= 2]
+    rows, spans = [], []
+    for g in tried:
+        mine = seeds[members[g]]
+        checks = mine[_farthest(mine, centres[g], _CHECK_ROWS)]
+        spans.append((len(rows), len(rows) + 1 + checks.shape[0]))
+        rows += [centres[g], *checks]
+    if not rows:
+        return np.zeros(0, dtype=np.int64), None, 0, 0, 0
+    ends = np.array(rows)
+    failed, moving, passes, row_updates = _descend(ends, np.arange(len(rows)), a, cfg)
+    failed[moving] = True  # an unconverged row fails its group as a dropped one does
+    held = [
+        not failed[i0:i1].any() and not _single_linkage(ends[i0:i1], cfg.merge_tolerance).any()
+        for i0, i1 in spans
+    ]
+    confirmed = np.array(tried, dtype=np.int64)[held]
+    centre_rows = np.array([i0 for i0, _ in spans], dtype=np.int64)[held]
+    return confirmed, ends[centre_rows], len(tried), passes, row_updates
+
+
+@_blas.single_thread()
+def mean_shift_modes(
+    x_points: np.ndarray, cfg: VmfConfig, capture: Capture | None = None
+) -> ModeSearch:
+    """Iterate strided seeds to their modes and merge coinciding directions.
+
+    All seeds are iterated jointly (_descend): each pass shifts every
+    still-moving row once, with one _kernel_sums call. Between passes,
+    moving rows within _FOLD_FRACTION * merge_tolerance of an earlier kept
+    moving row are folded into it (_fold_rows), and a row carries the count
+    of original seeds it stands for; a folded seed shares its row's fate
+    from then on. Seeds whose update degenerates (DegenerateShift) are
+    dropped and counted; seeds still moving after max_iters are counted as
+    unconverged and merged from where they stopped. Surviving rows are
+    merged by single linkage: rows within merge_tolerance angular distance
+    share a mode, transitively. Each mode is the renormalized seed-weighted
+    mean of its rows, and modes are sorted by descending basin seed count
+    (ties: the earliest contributing seed first). Every seed counter is in
+    original seeds; passes and row_updates count the passes and the
+    single-row updates, folded rows once each.
+
+    Given the Capture of the same rows, every group whose fold
+    _confirm_folds confirms enters the search as one converged row at its
+    centre's endpoint, in place of its seeds, at the position of its first
+    seed and carrying their count; the other seeds are shifted as above.
+    When no fold stands, the search is the one without capture.
+
+    At seed_stride 1, when every point is a seed of its own, the first
+    pass sums each symmetric kernel weight once (_shift_rows with
+    symmetric=True), so its results differ from the plain kernel's by
+    rounding only. Every search runs on one OpenBLAS thread, so its result
+    does not depend on the caller's thread count, and then restores that
+    count. The count is process-wide, so this is not safe to call
+    concurrently from several Python threads that also use BLAS: their
+    products can run on one thread, and overlapping calls can leave the
+    count at 1.
+    """
+    if x_points.ndim != 2 or x_points.shape[0] == 0:
+        raise ValueError("point matrix must be non-empty (n, D)")
+    a = _augment(x_points)
+    pts = x_points[:: cfg.seed_stride].copy()
+    weight = np.ones(pts.shape[0], dtype=np.int64)  # original seeds per row
+    moving = np.arange(pts.shape[0])
+    passes = row_updates = tried = 0
+    confirmed = np.zeros(0, dtype=np.int64)
+    if capture is not None:
+        seed_group = capture.group[:: cfg.seed_stride]
+        confirmed, ends, tried, passes, row_updates = _confirm_folds(
+            pts, seed_group, capture.centres, a, cfg)
+    if confirmed.size:
+        folded = np.isin(seed_group, confirmed)
+        # each confirmed group's first seed and seed count, in the order of confirmed
+        _, first, count = np.unique(seed_group[folded], return_index=True, return_counts=True)
+        # the shifted seeds, then the confirmed rows, in the order of their first seeds
+        by_seed = np.argsort(np.concatenate([moving[~folded], moving[folded][first]]))
+        n_shifted = pts.shape[0] - int(count.sum())
+        pts = np.concatenate([pts[~folded], ends])[by_seed]
+        weight = np.concatenate([weight[~folded], count])[by_seed]
+        moving = np.flatnonzero(by_seed < n_shifted)
+    dropped, moving, p, r = _descend(
+        pts, moving, a, cfg, weight, cfg.seed_stride == 1 and not confirmed.size)
+    passes, row_updates = passes + p, row_updates + r
     n_unconverged = int(weight[moving].sum())
     n_dropped = int(weight[dropped].sum())
 
     alive = np.flatnonzero(~dropped & (weight > 0))
+    comp = _single_linkage(pts[alive], cfg.merge_tolerance)
+    merged = 0
+    if confirmed.size:
+        # the confirmed rows are converged and carry seeds, so all are alive
+        centre_comp = comp[np.isin(alive, np.flatnonzero(by_seed >= n_shifted))]
+        merged = confirmed.size - np.unique(centre_comp).size
     pts, weight = pts[alive], weight[alive]
-    comp = _single_linkage(pts, cfg.merge_tolerance)
     modes, counts = [], []
     # members of each component in ascending row order; the last split is empty
     by_comp = np.argsort(comp, kind="stable")
@@ -431,12 +614,19 @@ def mean_shift_modes(x_points: np.ndarray, cfg: VmfConfig) -> ModeSearch:
             continue
         modes.append(mean / norm)
         counts.append(count)
-    # Components are numbered by their smallest row and alive is ascending,
-    # so a stable sort breaks count ties by the earliest contributing seed.
+    # Components are numbered by their smallest row and rows are ordered by
+    # their first seed, so a stable sort breaks count ties by the earliest
+    # contributing seed.
     counts = np.array(counts, dtype=np.int64)
     order = np.argsort(-counts, kind="stable")
     modes = np.reshape(modes, (-1, x_points.shape[1]))[order]
-    return ModeSearch(modes, counts[order], n_dropped, n_unconverged, passes, row_updates)
+    return ModeSearch(
+        modes, counts[order], n_dropped, n_unconverged, passes, row_updates,
+        capture_groups=0 if capture is None else len(capture.centres),
+        unconfirmed_groups=tried - confirmed.size,
+        capture_sweeps=0 if capture is None else capture.sweeps,
+        merged_captures=merged,
+    )
 
 
 def assign_to_modes(
@@ -480,16 +670,25 @@ def cluster_field(
     mask: BinaryMask,
     cfg: VmfConfig,
     lift: float = DiscriminativeConfig.delta_v,
+    radius: float = DiscriminativeConfig.delta_d,
 ) -> tuple[ClusterResult, ModeSearch]:
-    """flatten_foreground, mean_shift_modes, and assign_to_modes end to end.
+    """flatten_foreground, _capture, mean_shift_modes, and assign_to_modes end to end.
 
     Takes raw embeddings: flatten_foreground lifts the mask-1 vectors by
     lift, the delta_v of the loss that made the field, and scales them to
     unit norm, so the modes have D+1 coordinates. The result depends on the
-    field's scale, not only on its directions. Returns the ClusterResult,
+    field's scale, not only on its directions. The raw mask-1 vectors are
+    captured at radius, the delta_d of the same loss, and the mode search
+    shifts one row per confirmed capture group. Returns the ClusterResult,
     whose instance map labels cluster k as k+1, and the mode search it came
-    from, whose seed counters the result does not carry.
+    from, whose seed and capture counters the result does not carry.
     """
+    if not math.isfinite(radius) or radius <= 0:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     x_points = flatten_foreground(emb, mask, lift)
-    search = mean_shift_modes(x_points, cfg)
+    sel = mask.values.ravel().astype(bool)
+    # A budget of one sweep per seed costs about one pass over every seed.
+    budget = len(range(0, x_points.shape[0], cfg.seed_stride))
+    capture = _capture(emb.values.reshape(-1, emb.dim)[sel], radius, lift, budget)
+    search = mean_shift_modes(x_points, cfg, capture)
     return assign_to_modes(x_points, mask, search.modes, cfg), search

@@ -190,7 +190,8 @@ class TestCluster:
         assert inst.values.shape == (64, 64)
         doc = json.loads((out / "modes.json").read_text())
         assert set(doc) == {
-            "num_clusters", "modes", "basin_pixels", "dropped_seeds", "unconverged_seeds"
+            "num_clusters", "modes", "basin_pixels", "dropped_seeds", "unconverged_seeds",
+            "capture_groups", "unconfirmed_groups", "capture_sweeps", "merged_captures",
         }
         assert doc["num_clusters"] == len(doc["modes"]) == len(doc["basin_pixels"])
         if doc["num_clusters"]:
@@ -451,6 +452,34 @@ class TestPipeline:
         ]
         assert "found 0 clusters" in caplog.text and "2 modes dissolved as runts" in caplog.text
 
+    @pytest.mark.parametrize("seed, clusters", [(106, 1), (177, 2)])
+    def test_merge_that_joins_capture_groups_warns_once(
+        self, tmp_path, monkeypatch, caplog, seed, clusters
+    ):
+        # benchmark small-scenes s03 of seeds 106 and 177: capture keeps the
+        # four stripes apart, and the angular merge at merge_tolerance 1.65
+        # joins them into fewer modes
+        s = seed * 1000 + 3
+        cfg = _write_config(tmp_path, {
+            "scene": {"num_instances": 4, "layout": "parallel_stripes", "seed": s},
+            "optimizer": {"max_steps": 300, "loss_tolerance": 1e-3, "seed": s},
+            "cluster": {"seed_stride": 5, "merge_tolerance": 1.65},
+        })
+        for level in ("error", "info"):
+            monkeypatch.setenv("INSTANCE_EMBED_LOG", level)
+            assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / level)]) == 0
+        names = sorted(p.name for p in (tmp_path / "error").iterdir())
+        assert _dir_bytes(tmp_path / "error", names) == _dir_bytes(tmp_path / "info", names)
+        modes = json.loads((tmp_path / "info" / "modes.json").read_text())
+        counts = [modes[k] for k in (
+            "num_clusters", "capture_groups", "unconfirmed_groups", "merged_captures")]
+        assert counts == [clusters, 4, 0, 4 - clusters]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            f"the mean-shift merge joined {4 - clusters} confirmed capture groups "
+            "to another group's mode"
+        ]
+
     @staticmethod
     def _run_in_subprocess(cfg, out, **env):
         run = subprocess.run(
@@ -478,13 +507,18 @@ class TestPipeline:
         )
         found = re.search(
             r"found (\d+) clusters in [\d.]+ s \((\d+) passes, (\d+) row updates, "
-            r"(\d+) modes dissolved as runts\)",
+            r"(\d+) modes dissolved as runts\) from (\d+) capture groups "
+            r"\((\d+) unconfirmed, (\d+) sweeps\)",
             runs["info"].stderr,
         )
         assert found
         passes, row_updates = int(found[2]), int(found[3])
         assert 1 <= passes <= 100 and row_updates >= passes
         assert int(found[1]) == 2 and int(found[4]) == 0
+        modes = json.loads((tmp_path / "error" / "modes.json").read_text())
+        capture = [modes[k] for k in ("capture_groups", "unconfirmed_groups", "capture_sweeps")]
+        assert [int(found[i]) for i in (5, 6, 7)] == capture
+        assert capture[0] >= 1 and capture[2] >= capture[0]
         assert "WARNING" not in runs["info"].stderr  # every seed converged
 
     def test_unconverged_seeds_warn_on_stderr_only(self, tmp_path):

@@ -15,20 +15,26 @@ from instance_embed import (
     EmbeddingField,
     EmptyForeground,
     LabelMap,
+    OptimizerConfig,
+    SceneConfig,
     VmfConfig,
     assign_to_modes,
     cluster_field,
     flatten_foreground,
+    gen_scene,
     mean_shift_modes,
+    optimize_embeddings,
     vmf_shift_step,
 )
 
 from instance_embed import _blas, clustering, fileio
+from instance_embed.scenes import LAYOUTS
 from instance_embed.cli import main
 from instance_embed.clustering import (
     _STRIP_COLUMNS,
     _TOTAL_FLOOR,
     _augment,
+    _capture,
     _finish_rows,
     _fold_rows,
     _kernel_sums,
@@ -900,6 +906,131 @@ class TestClusterField:
         basin = json.loads((tmp_path / "out" / "modes.json").read_text())["basin_pixels"]
         assert basin and min(basin) >= 1
         assert sum(basin) == 64
+
+
+def _all_seeds_instances(emb, mask, cfg):
+    """The instance map of the search that shifts every strided seed."""
+    x = flatten_foreground(emb, mask)
+    return assign_to_modes(x, mask, mean_shift_modes(x, cfg).modes, cfg).instances.values
+
+
+def _two_blobs(spread, separation, origin, seed=0, h=16, w=16, d=8):
+    """Two blobs of raw embeddings, separation apart, centred origin from zero."""
+    rng = np.random.default_rng(seed)
+    half = np.zeros(d)
+    half[1] = separation / 2
+    centre = np.zeros(d)
+    centre[0] = origin
+    side = np.where(rng.integers(0, 2, (h * w, 1)) == 1, half, -half)
+    v = centre + side + spread * rng.standard_normal((h * w, d))
+    return EmbeddingField(v.reshape(h, w, d)), _full_mask(h, w)
+
+
+class TestCaptureFold:
+    def _check(self, emb, mask, cfg):
+        result, search = cluster_field(emb, mask, cfg)
+        want = _all_seeds_instances(emb, mask, cfg)
+        np.testing.assert_array_equal(result.instances.values, want)
+        # every strided seed ends in exactly one basin or is dropped
+        seeds = -(-mask.count() // cfg.seed_stride)
+        assert int(search.basin_seeds.sum()) + search.dropped_seeds == seeds
+        return result, search
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("spread, separation, origin, refused", [
+        # Both blobs lie within delta_d, so one capture takes them together.
+        # Raw group radius is about 0.45 and 0.3, so a radius check would
+        # pass the fold, and the unchecked fold finds one instance.
+        (0.03, 0.9, 0.5, 1),
+        (0.06, 0.6, 0.0, 1),
+        # far apart: each blob is its own group and its fold stands
+        (0.05, 3.5, 1.0, 0),
+    ])
+    def test_two_blobs_match_the_all_seeds_search(self, spread, separation, origin, refused,
+                                                 stride):
+        emb, mask = _two_blobs(spread, separation, origin)
+        result, search = self._check(emb, mask, VmfConfig(seed_stride=stride))
+        assert result.num_clusters == 2
+        assert search.capture_groups == 2 - refused
+        assert search.unconfirmed_groups == refused
+        assert search.merged_captures == 0
+
+    @pytest.mark.parametrize("width, instances, layout, seed, cfg", [
+        # dense-128 and staged-96 at benchmark seed 1
+        (128, 4, "parallel_stripes", 1000, VmfConfig()),
+        (96, 3, "curved_bands", 1000, VmfConfig(seed_stride=2)),
+    ])
+    def test_benchmark_fields_match_the_all_seeds_search(
+        self, width, instances, layout, seed, cfg
+    ):
+        scene = gen_scene(SceneConfig(width=width, height=width, num_instances=instances,
+                                      layout=layout, seed=seed))
+        trace = optimize_embeddings(scene.labels, 8, DiscriminativeConfig(),
+                                    OptimizerConfig(seed=seed))
+        result, search = self._check(trace.final, scene.drivable_mask, cfg)
+        assert result.num_clusters == search.capture_groups == instances
+        assert (search.unconfirmed_groups, search.merged_captures) == (0, 0)
+        # one row per instance and its check rows, not one per seed
+        assert search.row_updates < 10 * instances * search.passes
+
+    def test_criterion_three_fields_match_the_all_seeds_search(self):
+        cfg = VmfConfig(kappa=10.0, merge_tolerance=1.65, seed_stride=5)
+        for i in range(8):
+            layout = LAYOUTS[(i // 4) % len(LAYOUTS)]
+            scene = gen_scene(SceneConfig(num_instances=1 + i % 4, layout=layout, seed=i))
+            trace = optimize_embeddings(
+                scene.labels, 8, DiscriminativeConfig(),
+                OptimizerConfig(step_size=40.0, max_steps=300, loss_tolerance=1e-3, seed=i))
+            self._check(trace.final, scene.drivable_mask, cfg)
+
+    def test_capture_stops_at_one_sweep_per_seed(self):
+        # On a field with no structure nearly every pixel is a group of its
+        # own; past the budget the rest stay uncaptured and are shifted as
+        # seeds of their own.
+        v = np.random.default_rng(0).standard_normal((32, 32, 8))
+        cfg = VmfConfig(seed_stride=4, max_iters=20)
+        _, search = self._check(EmbeddingField(v), _full_mask(32, 32), cfg)
+        assert 256 <= search.capture_sweeps < 256 + clustering._CAPTURE_SWEEPS + 1
+        assert search.capture_groups < 256
+        cap = _capture(v.reshape(-1, 8), 1.5, 0.5, budget=256)
+        assert cap.sweeps == search.capture_sweeps and (cap.group == -1).any()
+        assert cap.group.max() == len(cap.centres) - 1
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_radius_rejected(self, radius):
+        emb, mask = _two_blobs(0.05, 3.5, 1.0)
+        with pytest.raises(ValueError, match="radius"):
+            cluster_field(emb, mask, VmfConfig(), radius=radius)
+
+    def test_without_capture_the_search_is_unchanged(self):
+        x, _, _ = _planted(seed=0)
+        search = mean_shift_modes(x, VmfConfig(kappa=10.0))
+        assert (search.capture_groups, search.unconfirmed_groups, search.capture_sweeps,
+                search.merged_captures) == (0, 0, 0, 0)
+
+    def test_capture_picks_the_lowest_unlabelled_row_and_labels_it(self):
+        # Row 0 shifts through 1.27 and 1.95 onto the two clusters to its
+        # right and ends at 2.05, past the radius, yet it joins the group
+        # it started.
+        x = np.concatenate([[0.0], np.full(10, 1.4), np.full(10, 2.7), np.full(5, 9.0)])
+        raw = np.stack([x, np.zeros_like(x)], axis=1)[np.r_[0, 25, 1:25]]
+        cap = _capture(raw, 1.5, 0.5, budget=100)
+        assert cap.group[0] == 0 and np.all(cap.group[2:12] == 0) and np.all(cap.group[12:22] == 0)
+        assert abs(cap.centres[0][0] / cap.centres[0][2] * 0.5 - 2.05) < 1e-12
+        # the lowest row left unlabelled is picked next, and so on
+        assert cap.group[1] == 1 and np.all(cap.group[22:] == 1)
+        assert cap.group.max() == 1
+        # each capture sweeps once, then until its set of rows stops changing
+        assert cap.sweeps == 4 + 2
+
+    def test_capture_groups_random_rows_in_pick_order(self):
+        raw = np.random.default_rng(3).standard_normal((300, 3))
+        cap = _capture(raw, 0.8, 0.5, budget=10**6)
+        assert cap.group.min() == 0 and cap.centres.shape == (cap.group.max() + 1, 4)
+        for g in range(cap.group.max() + 1):
+            # group g holds the lowest row that no earlier group labelled
+            assert cap.group[np.flatnonzero(cap.group >= g)[0]] == g
+        np.testing.assert_allclose(np.linalg.norm(cap.centres, axis=1), 1.0, rtol=1e-12)
 
 
 class TestConfigAndResultValidation:

@@ -73,6 +73,12 @@ def _json_char(data, rng):
 
 MUTATIONS = (_flip, _truncate, _append, _duplicate, _json_char)
 
+# Every modes.json a cluster command writes holds exactly these keys.
+MODES_KEYS = {
+    "num_clusters", "modes", "basin_pixels", "dropped_seeds", "unconverged_seeds",
+    "capture_groups", "unconfirmed_groups", "capture_sweeps", "merged_captures",
+}
+
 
 def _argv(template, scene, mutant=None):
     """Resolve file names against the scene directory and "{x}" to the mutant."""
@@ -106,3 +112,6 @@ def test_mutated_input_exits_with_a_documented_code(scene, tmp_path, name):
         except Exception as exc:
             pytest.fail(f"{what} raised {type(exc).__name__}: {exc}")
         assert code in EXIT_CODES, f"{what} exited {code}"
+        if code == 0 and COMMANDS[name][0] == "cluster":
+            keys = set(json.loads((tmp_path / "out" / "modes.json").read_text()))
+            assert keys == MODES_KEYS, f"{what} wrote modes.json keys {sorted(keys)}"

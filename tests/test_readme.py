@@ -7,8 +7,11 @@ import re
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 import instance_embed
-from instance_embed.cli import build_parser
+from instance_embed import BinaryMask, fileio
+from instance_embed.cli import build_parser, main
 from instance_embed.config import default_run_config
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -51,3 +54,13 @@ def test_library_example_imports_are_public():
     ]
     assert "cluster_field" in names
     assert sorted(set(names) - set(instance_embed.__all__)) == []
+
+
+def test_every_modes_json_key_is_named(tmp_path):
+    fileio.write_embf(tmp_path / "emb.embf", np.random.default_rng(0).standard_normal((8, 8, 3)))
+    fileio.write_mask(tmp_path / "mask.pgm", BinaryMask(np.ones((8, 8), dtype=np.uint8)))
+    out = tmp_path / "out"
+    assert main(["cluster", "--embeddings", str(tmp_path / "emb.embf"),
+                 "--mask", str(tmp_path / "mask.pgm"), "--out", str(out)]) == 0
+    keys = json.loads((out / "modes.json").read_text())
+    assert sorted(set(keys) - set(re.findall(r"`(\w+)`", README))) == []
