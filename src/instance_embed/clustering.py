@@ -17,10 +17,10 @@ each group then share one search row, started at the group's lifted
 centre. In the same passes up to _CHECK_ROWS of the group's own seeds,
 the farthest from its centre, are shifted as check rows; the fold stands
 only when the centre and its check rows end in one single-linkage
-component, and otherwise the group's seeds are shifted one row each. So
-the modes are still fixed points of the same vMF kernel density, and on
-a loss-trained field the search shifts about five rows per instance
-rather than one per seed. The capture stops after one sweep per seed, so
+component, moving or not, and otherwise the group's seeds are shifted one
+row each. So the modes are still fixed points of the same vMF kernel
+density, and on a loss-trained field the search shifts about five rows
+per instance rather than one per seed. The capture stops after one sweep per seed, so
 on a field with no structure, where nearly every row is a group of its
 own, it costs about one pass over the seeds and leaves the rest as seeds
 of their own. mean_shift_modes without a capture shifts every strided
@@ -36,10 +36,7 @@ exp(kappa * (<x, y> - 1)), at most 1 for unit rows, and the second
 product's last column is their total; the rare row whose total is not
 finite or vanishes is recomputed with its own largest dot subtracted. The
 whole search runs on one OpenBLAS thread, and the capture's O(n D) sweeps
-reduce with np.einsum, not BLAS. When every point is a seed of its own (no
-fold stands at seed stride 1) the first pass's weights are symmetric: the
-same kernel then sweeps the upper triangle only and adds each weight to
-both rows' sums.
+reduce with np.einsum, not BLAS.
 
 Besides the caller's points, a pass holds the seeds, [x | 1], the moving
 rows' copy (none while every row moves) and their sums, which the new
@@ -69,10 +66,7 @@ from .errors import DegenerateShift, DegenerateVector, EmptyForeground
 from .losses import DiscriminativeConfig
 
 # Seeds are shifted, folded and merge frontiers expanded in fixed-size
-# blocks, which bounds the block x n dot and angle matrices. The symmetric
-# _kernel_sums needs _SEED_BLOCK <= _STRIP_COLUMNS: a block's first strip
-# must hold the block's own columns, or its transposed product has a
-# negative width and matmul raises a shape error.
+# blocks, which bounds the block x n dot and angle matrices.
 _SEED_BLOCK = 64
 # Between passes, still-moving seeds closer than this share of
 # merge_tolerance are folded into one row.
@@ -84,7 +78,7 @@ _TOTAL_FLOOR = 1e-100
 # _SEED_BLOCK rows by this many points, 512 KiB that stay in L2. On a
 # 2-vCPU guest, one pass of all 11 648 points against themselves took 0.26
 # to 0.27 s on one thread, against 0.35 to 0.36 s with strips as wide as
-# the point set. It must stay >= _SEED_BLOCK for the symmetric _kernel_sums.
+# the point set.
 _STRIP_COLUMNS = 1024
 # A capture group's fold is checked by this many of its own seeds, the
 # farthest from its centre first.
@@ -233,7 +227,7 @@ def _augment(x_points: np.ndarray) -> np.ndarray:
     return np.hstack([x_points, np.ones((x_points.shape[0], 1))])
 
 
-def _kernel_sums(cur: np.ndarray, a: np.ndarray, kappa: float, symmetric: bool = False):
+def _kernel_sums(cur: np.ndarray, a: np.ndarray, kappa: float):
     """The weighted sums [sum_j w_j x_j | sum_j w_j] of each row y of cur.
 
     a is _augment(x_points) and w_j = exp(kappa * (<x_j, y> - 1)). Each
@@ -241,37 +235,27 @@ def _kernel_sums(cur: np.ndarray, a: np.ndarray, kappa: float, symmetric: bool =
     product gives the exponents and w = exp(...) needs no row max: for unit
     rows every weight is at most 1 and cannot overflow. The block meets the
     points _STRIP_COLUMNS at a time in one reused buffer, and the product
-    of a strip's weights with its rows of a adds to the block's sums.
-
-    symmetric=True says that cur is x_points itself, so w_ij = w_ji. Then
-    each block's strips start at its own first row, and the transposed
-    product of a strip with the block's rows of a adds to the sums of the
-    later rows, so each weight is exponentiated once instead of twice. An
-    inf or NaN weight spreads into the totals it touches and leaves those
-    rows to _finish_rows' fallback. Memory is the rows x (D+1) sums plus
-    the strip buffers.
+    of a strip's weights with its rows of a adds to the block's sums. An
+    inf or NaN weight spreads into its row's total and leaves that row to
+    _finish_rows' fallback. Memory is the rows x (D+1) sums plus the strip
+    buffers.
     """
     m, n, d = cur.shape[0], a.shape[0], cur.shape[1]
     s = np.zeros((m, d + 1))
     q = np.empty((_SEED_BLOCK, d + 1))
     strip = np.empty(min(m, _SEED_BLOCK) * min(n, _STRIP_COLUMNS))
-    later = np.empty((min(n, _STRIP_COLUMNS), d + 1))  # the transposed products, in place
     with np.errstate(over="ignore", invalid="ignore"):  # inf weights: recomputed later
         for i0 in range(0, m, _SEED_BLOCK):
             i1 = min(i0 + _SEED_BLOCK, m)
             b = i1 - i0
             np.multiply(cur[i0:i1], kappa, out=q[:b, :d])
             q[:b, d] = -kappa
-            for j0 in range(i0 if symmetric else 0, n, _STRIP_COLUMNS):
+            for j0 in range(0, n, _STRIP_COLUMNS):
                 j1 = min(j0 + _STRIP_COLUMNS, n)
                 w = strip[: b * (j1 - j0)].reshape(b, j1 - j0)
                 np.matmul(q[:b], a[j0:j1].T, out=w)
                 np.exp(w, out=w)
                 s[i0:i1] += w @ a[j0:j1]
-                if symmetric:
-                    k0 = max(j0, i1)  # the first strip holds the block's own columns
-                    np.matmul(w[:, k0 - j0 :].T, a[i0:i1], out=later[: j1 - k0])
-                    s[k0:j1] += later[: j1 - k0]
     return s
 
 
@@ -304,9 +288,9 @@ def _finish_rows(s: np.ndarray, cur: np.ndarray, a: np.ndarray, kappa: float):
     return s, bad
 
 
-def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float, symmetric: bool = False):
+def _shift_rows(cur: np.ndarray, a: np.ndarray, kappa: float):
     """One kernel-weighted mean-direction update of each row of cur: (new, bad)."""
-    return _finish_rows(_kernel_sums(cur, a, kappa, symmetric), cur, a, kappa)
+    return _finish_rows(_kernel_sums(cur, a, kappa), cur, a, kappa)
 
 
 def vmf_shift_step(x_points: np.ndarray, x: np.ndarray, kappa: float) -> np.ndarray:
@@ -459,18 +443,16 @@ def _farthest(rows: np.ndarray, start: np.ndarray, k: int) -> np.ndarray:
     return np.array(picked, dtype=np.int64)
 
 
-def _descend(pts, moving, a, cfg: VmfConfig, weight=None, symmetric=False):
+def _descend(pts, moving, a, cfg: VmfConfig, weight=None):
     """Shift the rows `moving` (ascending) of pts jointly until each stops moving.
 
     Each pass shifts every still-moving row once, with one _kernel_sums call,
     and writes the new directions into pts. Given the rows' weight in
     original seeds, moving rows within _FOLD_FRACTION * merge_tolerance of an
     earlier kept moving row are folded into it between passes (_fold_rows);
-    without it, every row keeps its own path. symmetric=True says that pts
-    is all of a's points and every row moves, so the first pass sums each
-    symmetric weight once. Returns (dropped, moving, passes, row_updates):
-    the rows whose update degenerated and the rows still moving after
-    max_iters.
+    without it, every row keeps its own path. Returns (dropped, moving,
+    passes, row_updates): the rows whose update degenerated and the rows
+    still moving after max_iters.
     """
     dropped = np.zeros(pts.shape[0], dtype=bool)
     cos_fold = math.cos(_FOLD_FRACTION * cfg.merge_tolerance)
@@ -484,7 +466,7 @@ def _descend(pts, moving, a, cfg: VmfConfig, weight=None, symmetric=False):
         row_updates += moving.size
         # moving is ascending, so when every row moves it is all of pts.
         cur = pts if moving.size == pts.shape[0] else pts[moving]
-        new, bad = _shift_rows(cur, a, cfg.kappa, symmetric and it == 0)
+        new, bad = _shift_rows(cur, a, cfg.kappa)
         moved = np.arccos(np.clip(np.einsum("ij,ij->i", new, cur), -1.0, 1.0))
         pts[moving] = new  # a bad row is dropped, and its row of pts never read again
         dropped[moving[bad]] = True
@@ -500,9 +482,10 @@ def _confirm_folds(seeds, seed_group, centres, a, cfg: VmfConfig):
     Every group with two or more seeds gets one row at its lifted centre
     and up to _CHECK_ROWS check rows, its own seeds picked by _farthest
     from that centre. All rows are shifted jointly and unfolded.
-    A group's fold stands when none of its rows is dropped or unconverged
-    and its centre and check rows end in one single-linkage component.
-    Returns (confirmed groups, their centres' endpoints, groups tried,
+    A group's fold stands when none of its rows is dropped and its centre
+    and check rows end in one single-linkage component, also when some of
+    them are still moving after max_iters. Returns (confirmed groups, their
+    centres' endpoints, which of them ended still moving, groups tried,
     passes, row_updates).
     """
     by_group = np.argsort(seed_group, kind="stable")
@@ -516,17 +499,18 @@ def _confirm_folds(seeds, seed_group, centres, a, cfg: VmfConfig):
         spans.append((len(rows), len(rows) + 1 + checks.shape[0]))
         rows += [centres[g], *checks]
     if not rows:
-        return np.zeros(0, dtype=np.int64), None, 0, 0, 0
+        return np.zeros(0, dtype=np.int64), None, None, 0, 0, 0
     ends = np.array(rows)
-    failed, moving, passes, row_updates = _descend(ends, np.arange(len(rows)), a, cfg)
-    failed[moving] = True  # an unconverged row fails its group as a dropped one does
+    dropped, moving, passes, row_updates = _descend(ends, np.arange(len(rows)), a, cfg)
+    still = np.isin(np.arange(len(rows)), moving)
     held = [
-        not failed[i0:i1].any() and not _single_linkage(ends[i0:i1], cfg.merge_tolerance).any()
+        not dropped[i0:i1].any() and not _single_linkage(ends[i0:i1], cfg.merge_tolerance).any()
         for i0, i1 in spans
     ]
+    unsettled = np.array([still[i0:i1].any() for i0, i1 in spans], dtype=bool)[held]
     confirmed = np.array(tried, dtype=np.int64)[held]
     centre_rows = np.array([i0 for i0, _ in spans], dtype=np.int64)[held]
-    return confirmed, ends[centre_rows], len(tried), passes, row_updates
+    return confirmed, ends[centre_rows], unsettled, len(tried), passes, row_updates
 
 
 @_blas.single_thread()
@@ -551,20 +535,18 @@ def mean_shift_modes(
     single-row updates, folded rows once each.
 
     Given the Capture of the same rows, every group whose fold
-    _confirm_folds confirms enters the search as one converged row at its
-    centre's endpoint, in place of its seeds, at the position of its first
-    seed and carrying their count; the other seeds are shifted as above.
-    When no fold stands, the search is the one without capture.
+    _confirm_folds confirms enters the search in its first seed's row: that
+    row takes the centre's endpoint and the group's seed count and is not
+    shifted again, and the group's other seeds weigh 0. The other seeds are
+    shifted as above. A confirmed group whose rows were still moving after
+    max_iters counts its seeds as unconverged. When no fold stands, the
+    search is the one without capture.
 
-    At seed_stride 1, when every point is a seed of its own, the first
-    pass sums each symmetric kernel weight once (_shift_rows with
-    symmetric=True), so its results differ from the plain kernel's by
-    rounding only. Every search runs on one OpenBLAS thread, so its result
-    does not depend on the caller's thread count, and then restores that
-    count. The count is process-wide, so this is not safe to call
-    concurrently from several Python threads that also use BLAS: their
-    products can run on one thread, and overlapping calls can leave the
-    count at 1.
+    Every search runs on one OpenBLAS thread, so its result does not
+    depend on the caller's thread count, and then restores that count. The
+    count is process-wide, so this is not safe to call concurrently from
+    several Python threads that also use BLAS: their products can run on
+    one thread, and overlapping calls can leave the count at 1.
     """
     if x_points.ndim != 2 or x_points.shape[0] == 0:
         raise ValueError("point matrix must be non-empty (n, D)")
@@ -572,35 +554,30 @@ def mean_shift_modes(
     pts = x_points[:: cfg.seed_stride].copy()
     weight = np.ones(pts.shape[0], dtype=np.int64)  # original seeds per row
     moving = np.arange(pts.shape[0])
-    passes = row_updates = tried = 0
-    confirmed = np.zeros(0, dtype=np.int64)
+    passes = row_updates = tried = n_unconverged = 0
+    confirmed = heads = np.zeros(0, dtype=np.int64)
     if capture is not None:
         seed_group = capture.group[:: cfg.seed_stride]
-        confirmed, ends, tried, passes, row_updates = _confirm_folds(
+        confirmed, ends, unsettled, tried, passes, row_updates = _confirm_folds(
             pts, seed_group, capture.centres, a, cfg)
     if confirmed.size:
         folded = np.isin(seed_group, confirmed)
         # each confirmed group's first seed and seed count, in the order of confirmed
         _, first, count = np.unique(seed_group[folded], return_index=True, return_counts=True)
-        # the shifted seeds, then the confirmed rows, in the order of their first seeds
-        by_seed = np.argsort(np.concatenate([moving[~folded], moving[folded][first]]))
-        n_shifted = pts.shape[0] - int(count.sum())
-        pts = np.concatenate([pts[~folded], ends])[by_seed]
-        weight = np.concatenate([weight[~folded], count])[by_seed]
-        moving = np.flatnonzero(by_seed < n_shifted)
-    dropped, moving, p, r = _descend(
-        pts, moving, a, cfg, weight, cfg.seed_stride == 1 and not confirmed.size)
+        heads = np.flatnonzero(folded)[first]
+        weight[folded] = 0
+        pts[heads], weight[heads] = ends, count
+        moving = np.flatnonzero(~folded)
+        n_unconverged = int(count[unsettled].sum())
+    dropped, moving, p, r = _descend(pts, moving, a, cfg, weight)
     passes, row_updates = passes + p, row_updates + r
-    n_unconverged = int(weight[moving].sum())
+    n_unconverged += int(weight[moving].sum())
     n_dropped = int(weight[dropped].sum())
 
     alive = np.flatnonzero(~dropped & (weight > 0))
     comp = _single_linkage(pts[alive], cfg.merge_tolerance)
-    merged = 0
-    if confirmed.size:
-        # the confirmed rows are converged and carry seeds, so all are alive
-        centre_comp = comp[np.isin(alive, np.flatnonzero(by_seed >= n_shifted))]
-        merged = confirmed.size - np.unique(centre_comp).size
+    # the confirmed rows are never shifted here and carry seeds, so all are alive
+    merged = heads.size - np.unique(comp[np.isin(alive, heads)]).size
     pts, weight = pts[alive], weight[alive]
     modes, counts = [], []
     # members of each component in ascending row order; the last split is empty

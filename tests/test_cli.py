@@ -550,8 +550,8 @@ class TestPipeline:
         assert float(found[3]) == pytest.approx(100.0 * unconverged / seeds, abs=0.05)
 
     @pytest.mark.parametrize("doc", [
-        # Stride 1 iterates every foreground point, so the first mean-shift
-        # pass is the symmetric sweep.
+        # Stride 1 makes every foreground point a seed, so every seed that
+        # no capture group folds is shifted against every point.
         {
             "scene": {"num_instances": 3, "seed": 6},
             "optimizer": {"max_steps": 150, "step_size": 40.0, "seed": 6},
@@ -564,8 +564,8 @@ class TestPipeline:
             "optimizer": {"max_steps": 300, "loss_tolerance": 1e-3, "seed": 1003},
             "cluster": {"seed_stride": 5, "merge_tolerance": 1.65},
         },
-        # 96x96 at stride 1: 6528 points, in strips of 1024 columns for
-        # the symmetric first pass.
+        # 96x96 at stride 1: 6528 points, which each kernel pass meets in
+        # strips of 1024 columns.
         {
             "scene": {"width": 96, "height": 96, "num_instances": 3,
                       "layout": "curved_bands", "seed": 6},

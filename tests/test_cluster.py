@@ -1,4 +1,5 @@
 """Spherical mean-shift clustering: fixed points, merging, assignment."""
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -35,7 +36,6 @@ from instance_embed.clustering import (
     _TOTAL_FLOOR,
     _augment,
     _capture,
-    _finish_rows,
     _fold_rows,
     _kernel_sums,
     _shift_rows,
@@ -219,72 +219,6 @@ class TestShiftKernel:
                 assert np.linalg.norm(new[r] - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _one_step(x_points, kappa):
-    """Every point's one-step _shift_rows update: (new, bad)."""
-    return _shift_rows(x_points, _augment(x_points), kappa)
-
-
-class TestSymmetricFirstPass:
-    """At stride 1 the first pass sums each kernel weight once, for both rows."""
-
-    @staticmethod
-    def _first_pass(monkeypatch, x_points, kappa):
-        # every point's own mode after one pass, from one symmetric sweep
-        calls = []
-
-        def recording(cur, a, kappa, symmetric=False):
-            calls.append(symmetric)
-            return _kernel_sums(cur, a, kappa, symmetric)
-
-        monkeypatch.setattr(clustering, "_kernel_sums", recording)
-        cfg = VmfConfig(kappa=kappa, seed_stride=1, max_iters=1, merge_tolerance=1e-9)
-        search = mean_shift_modes(x_points, cfg)
-        assert calls == [True]
-        assert search.modes.shape == x_points.shape and search.dropped_seeds == 0
-        return search.modes
-
-    @pytest.mark.parametrize("n", [130, 4133])  # neither a multiple of 32 or 64
-    def test_one_pass_matches_shift_rows(self, monkeypatch, n):
-        x = _bundled_points(n, seed=n)
-        want, bad = _one_step(x, 10.0)
-        assert not bad.any()
-        got = self._first_pass(monkeypatch, x, 10.0)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=False)
-
-    def test_overflowing_points_of_norm_three_match_shift_rows(self, monkeypatch):
-        # exp(1000 * (9 cos - 1)) overflows: every total is inf or NaN
-        rng = np.random.default_rng(31)
-        x = 3.0 * _bundle(rng, _unit([0.0, 1.0, 1.0]), 130, 0.1, 3)
-        assert _falls_back(x, x, 1000.0).all()
-        want, bad = _one_step(x, 1000.0)
-        assert not bad.any()
-        for r in range(0, 130, 7):  # the fallback itself is the oracle's loop
-            np.testing.assert_allclose(want[r], oracle_vmf_step(x, x[r], 1000.0), atol=1e-12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = self._first_pass(monkeypatch, x, 1000.0)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=False)
-
-    def test_overflow_spreads_into_later_rows_and_falls_back(self):
-        # rows of norm 3, then unit rows: exp(1000 * (3 cos - 1)) overflows
-        # between the two kinds, so the unit rows' totals, finite among
-        # themselves, turn inf or NaN only through the transposed products
-        # of the earlier strips, and those rows must take the fallback
-        rng = np.random.default_rng(32)
-        x = _bundle(rng, _unit([0.0, 1.0, 1.0]), 130, 0.1, 3)
-        x[:70] *= 3.0
-        assert not _falls_back(x[70:], x[70:], 1000.0).any()
-        a = _augment(x)
-        sums = _kernel_sums(x, a, 1000.0, symmetric=True)
-        assert not np.isfinite(sums[70:, -1]).any()
-        got, bad = _finish_rows(sums, x, a, 1000.0)
-        want, want_bad = _one_step(x, 1000.0)
-        assert not bad.any() and not want_bad.any()
-        for r in range(70, 130, 7):
-            np.testing.assert_allclose(want[r], oracle_vmf_step(x, x[r], 1000.0), atol=1e-12)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=False)
-
-
 class TestModeSearch:
     def test_recovers_planted_bundles(self):
         x, truth, centers = _planted(seed=0)
@@ -463,9 +397,9 @@ class TestBlasThreadPolicy:
     def test_search_runs_on_one_thread(self, monkeypatch, n, stride):
         seen = []
 
-        def recording(cur, a, kappa, symmetric=False):
+        def recording(cur, a, kappa):
             seen.append(_threads())
-            return _kernel_sums(cur, a, kappa, symmetric)
+            return _kernel_sums(cur, a, kappa)
 
         monkeypatch.setattr(clustering, "_kernel_sums", recording)
         mean_shift_modes(_bundled_points(n), VmfConfig(seed_stride=stride, merge_tolerance=0.5))
@@ -982,6 +916,33 @@ class TestCaptureFold:
                 scene.labels, 8, DiscriminativeConfig(),
                 OptimizerConfig(step_size=40.0, max_steps=300, loss_tolerance=1e-3, seed=i))
             self._check(trace.final, scene.drivable_mask, cfg)
+
+    @pytest.mark.parametrize("scene_cfg, opt_cfg, cfg, settled_at", [
+        # the one-instance 128 px stripes scene: its check rows, on the edge
+        # of the loss's flat delta_v ball, settle after 51 passes
+        (SceneConfig(width=128, height=128, num_instances=1, layout="parallel_stripes",
+                     seed=11),
+         OptimizerConfig(seed=11), VmfConfig(), 51),
+        # small-scenes s00 of benchmark seed 147: its rows settle on pass 100
+        (SceneConfig(num_instances=1, layout="parallel_stripes", seed=147000),
+         OptimizerConfig(step_size=40.0, max_steps=300, loss_tolerance=1e-3, seed=147000),
+         VmfConfig(kappa=10.0, merge_tolerance=1.65, seed_stride=5), 100),
+    ], ids=["one-128-stripes", "small-147000"])
+    def test_fold_stands_while_its_rows_still_move(self, scene_cfg, opt_cfg, cfg, settled_at):
+        # A group whose rows end linked keeps its fold when max_iters runs
+        # out first, and its seeds count as unconverged; refusing it would
+        # shift every seed of the instance instead.
+        scene = gen_scene(scene_cfg)
+        trace = optimize_embeddings(scene.labels, 8, DiscriminativeConfig(), opt_cfg)
+        full, _ = cluster_field(trace.final, scene.drivable_mask, cfg)
+        seeds = -(-scene.drivable_mask.count() // cfg.seed_stride)
+        for max_iters in (40, 99):
+            short = dataclasses.replace(cfg, max_iters=max_iters)
+            result, search = cluster_field(trace.final, scene.drivable_mask, short)
+            assert (search.capture_groups, search.unconfirmed_groups) == (1, 0)
+            assert search.unconverged_seeds == (seeds if max_iters < settled_at else 0)
+            assert search.passes == min(max_iters, settled_at)
+            np.testing.assert_array_equal(result.instances.values, full.instances.values)
 
     def test_capture_stops_at_one_sweep_per_seed(self):
         # On a field with no structure nearly every pixel is a group of its
