@@ -105,10 +105,9 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             "cluster.min_cluster_pixels"
         )
     fileio.write_labels(out / "instances.pgm", result.instances)
-    # Each predicted box is scored by its basin's share of the foreground.
+    # Each predicted box is scored by its basin's size over the largest basin's.
     basin = result.basin_pixels
-    total_fg = max(mask.count(), 1)
-    scores = [min(1.0, float(b) / total_fg) for b in basin]
+    scores = (basin / basin.max(initial=1)).tolist()
     fileio.write_boxes(out / "pred_boxes.json", [label_boxes(result.instances.values, scores)])
     fileio.write_json(
         out / "modes.json",

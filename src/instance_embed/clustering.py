@@ -201,7 +201,8 @@ def flatten_foreground(
     plain directions of that ball cover the whole sphere, while the lifted
     rows all lie near the pole. Background vectors are never read. Raises
     EmptyForeground when the mask selects no pixel and DegenerateVector
-    when a selected vector has norm < 1e-12 before the lift.
+    when a selected vector has norm < 1e-12 before the lift or a squared
+    norm that is not finite.
     """
     if not math.isfinite(lift) or lift < 0:
         raise ValueError(f"lift must be finite and >= 0, got {lift}")
@@ -210,7 +211,10 @@ def flatten_foreground(
     if not sel.any():
         raise EmptyForeground("mask selects no pixels")
     x = emb.values.reshape(-1, emb.dim)[sel]
-    if np.sqrt(np.einsum("ij,ij->i", x, x).min()) < 1e-12:
+    sq = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(sq.max()):
+        raise DegenerateVector("cannot normalize a vector whose squared norm overflows")
+    if np.sqrt(sq.min()) < 1e-12:
         raise DegenerateVector("cannot normalize a vector with norm < 1e-12")
     return _lift(x, lift)
 
@@ -475,42 +479,42 @@ def _descend(pts, moving, a, cfg: VmfConfig, weight=None):
     return dropped, moving, passes, row_updates
 
 
-def _confirm_folds(seeds, seed_group, centres, a, cfg: VmfConfig):
-    """Shift each capture group's centre with its check rows; keep the folds that hold.
+def _confirm_folds(pts, weight, group, centres, a, cfg: VmfConfig):
+    """Shift each capture group's centre with its check rows; fold the groups that hold.
 
-    seeds are the strided seed rows and seed_group their capture groups.
-    Every group with two or more seeds gets one row at its lifted centre
-    and up to _CHECK_ROWS check rows, its own seeds picked by _farthest
-    from that centre. All rows are shifted jointly and unfolded.
-    A group's fold stands when none of its rows is dropped and its centre
-    and check rows end in one single-linkage component, also when some of
-    them are still moving after max_iters. Returns (confirmed groups, their
-    centres' endpoints, which of them ended still moving, groups tried,
-    passes, row_updates).
+    pts are the strided seed rows, weight their seed counts (all 1) and
+    group their capture groups. Every group with two or more seeds gets one
+    row at its lifted centre and up to _CHECK_ROWS check rows, its own seeds
+    picked by _farthest from that centre. All rows are shifted jointly and
+    unfolded. A group's fold stands when none of its rows is dropped and its
+    centre and check rows end in one single-linkage component, also when
+    some of them are still moving after max_iters. Each fold is written in
+    place: the group's first seed's row of pts takes the centre's endpoint
+    and weight the group's seed count, and its other seeds weigh 0. Returns
+    (the folded rows, the seeds of folds whose rows ended still moving,
+    groups tried, passes, row_updates).
     """
-    by_group = np.argsort(seed_group, kind="stable")
+    by_group = np.argsort(group, kind="stable")
     # the uncaptured seeds (group -1) sort first; the last split is empty
-    members = np.split(by_group, np.cumsum(np.bincount(seed_group + 1)))[1:-1]
-    tried = [g for g, m in enumerate(members) if m.size >= 2]
-    rows, spans = [], []
-    for g in tried:
-        mine = seeds[members[g]]
-        checks = mine[_farthest(mine, centres[g], _CHECK_ROWS)]
-        spans.append((len(rows), len(rows) + 1 + checks.shape[0]))
-        rows += [centres[g], *checks]
-    if not rows:
-        return np.zeros(0, dtype=np.int64), None, None, 0, 0, 0
-    ends = np.array(rows)
+    members = np.split(by_group, np.cumsum(np.bincount(group + 1)))[1:-1]
+    tried = [(g, m) for g, m in enumerate(members) if m.size >= 2]
+    rows = []
+    for g, m in tried:
+        mine = pts[m]
+        rows += [centres[g], *mine[_farthest(mine, centres[g], _CHECK_ROWS)]]
+    ends = np.reshape(rows, (-1, pts.shape[1]))
     dropped, moving, passes, row_updates = _descend(ends, np.arange(len(rows)), a, cfg)
-    still = np.isin(np.arange(len(rows)), moving)
-    held = [
-        not dropped[i0:i1].any() and not _single_linkage(ends[i0:i1], cfg.merge_tolerance).any()
-        for i0, i1 in spans
-    ]
-    unsettled = np.array([still[i0:i1].any() for i0, i1 in spans], dtype=bool)[held]
-    confirmed = np.array(tried, dtype=np.int64)[held]
-    centre_rows = np.array([i0 for i0, _ in spans], dtype=np.int64)[held]
-    return confirmed, ends[centre_rows], unsettled, len(tried), passes, row_updates
+    heads, unsettled, i0 = [], 0, 0
+    for g, m in tried:
+        i1 = i0 + 1 + min(_CHECK_ROWS, m.size)
+        if not dropped[i0:i1].any() and not _single_linkage(ends[i0:i1], cfg.merge_tolerance).any():
+            weight[m] = 0
+            pts[m[0]], weight[m[0]] = ends[i0], m.size
+            heads.append(m[0])
+            if ((i0 <= moving) & (moving < i1)).any():
+                unsettled += m.size
+        i0 = i1
+    return np.array(heads, dtype=np.int64), unsettled, len(tried), passes, row_updates
 
 
 @_blas.single_thread()
@@ -534,13 +538,14 @@ def mean_shift_modes(
     original seeds; passes and row_updates count the passes and the
     single-row updates, folded rows once each.
 
-    Given the Capture of the same rows, every group whose fold
-    _confirm_folds confirms enters the search in its first seed's row: that
-    row takes the centre's endpoint and the group's seed count and is not
-    shifted again, and the group's other seeds weigh 0. The other seeds are
-    shifted as above. A confirmed group whose rows were still moving after
-    max_iters counts its seeds as unconverged. When no fold stands, the
-    search is the one without capture.
+    Given the Capture of the same rows, _confirm_folds first folds every
+    group whose fold holds into its first seed's row, which carries the
+    centre's endpoint and the group's seed count, and weighs the group's
+    other seeds 0. The search then shifts the rows that still weigh 1, as
+    above, with or without a capture; a folded row is not shifted again. A
+    fold whose rows were still moving after max_iters counts its seeds as
+    unconverged. When no fold stands, the search is the one without
+    capture.
 
     Every search runs on one OpenBLAS thread, so its result does not
     depend on the caller's thread count, and then restores that count. The
@@ -553,30 +558,19 @@ def mean_shift_modes(
     a = _augment(x_points)
     pts = x_points[:: cfg.seed_stride].copy()
     weight = np.ones(pts.shape[0], dtype=np.int64)  # original seeds per row
-    moving = np.arange(pts.shape[0])
-    passes = row_updates = tried = n_unconverged = 0
-    confirmed = heads = np.zeros(0, dtype=np.int64)
+    heads, n_unconverged, tried, passes, row_updates = np.zeros(0, dtype=np.int64), 0, 0, 0, 0
     if capture is not None:
-        seed_group = capture.group[:: cfg.seed_stride]
-        confirmed, ends, unsettled, tried, passes, row_updates = _confirm_folds(
-            pts, seed_group, capture.centres, a, cfg)
-    if confirmed.size:
-        folded = np.isin(seed_group, confirmed)
-        # each confirmed group's first seed and seed count, in the order of confirmed
-        _, first, count = np.unique(seed_group[folded], return_index=True, return_counts=True)
-        heads = np.flatnonzero(folded)[first]
-        weight[folded] = 0
-        pts[heads], weight[heads] = ends, count
-        moving = np.flatnonzero(~folded)
-        n_unconverged = int(count[unsettled].sum())
-    dropped, moving, p, r = _descend(pts, moving, a, cfg, weight)
+        heads, n_unconverged, tried, passes, row_updates = _confirm_folds(
+            pts, weight, capture.group[:: cfg.seed_stride], capture.centres, a, cfg)
+    # every seed outside a fold still weighs 1
+    dropped, moving, p, r = _descend(pts, np.flatnonzero(weight == 1), a, cfg, weight)
     passes, row_updates = passes + p, row_updates + r
     n_unconverged += int(weight[moving].sum())
     n_dropped = int(weight[dropped].sum())
 
     alive = np.flatnonzero(~dropped & (weight > 0))
     comp = _single_linkage(pts[alive], cfg.merge_tolerance)
-    # the confirmed rows are never shifted here and carry seeds, so all are alive
+    # the folded rows are never shifted here and carry seeds, so all are alive
     merged = heads.size - np.unique(comp[np.isin(alive, heads)]).size
     pts, weight = pts[alive], weight[alive]
     modes, counts = [], []
@@ -600,7 +594,7 @@ def mean_shift_modes(
     return ModeSearch(
         modes, counts[order], n_dropped, n_unconverged, passes, row_updates,
         capture_groups=0 if capture is None else len(capture.centres),
-        unconfirmed_groups=tried - confirmed.size,
+        unconfirmed_groups=tried - heads.size,
         capture_sweeps=0 if capture is None else capture.sweeps,
         merged_captures=merged,
     )

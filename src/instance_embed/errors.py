@@ -27,7 +27,10 @@ class NonFiniteLoss(InstanceEmbedError):
 
 
 class DegenerateVector(InstanceEmbedError):
-    """A vector with near-zero norm cannot be scaled to unit length."""
+    """A vector cannot be scaled to unit length.
+
+    Its norm is near zero, or its squared norm overflows float64.
+    """
 
 
 class DegenerateShift(InstanceEmbedError):

@@ -431,9 +431,8 @@ class TestPipeline:
             fileio.read_labels(out / "instances.pgm").values, result.instances.values
         )
         (boxes,) = fileio.read_boxes(out / "pred_boxes.json")
-        assert [d.score for d in boxes.detections] == [
-            float(b) / mask.count() for b in result.basin_pixels
-        ]
+        basin = result.basin_pixels
+        assert [d.score for d in boxes.detections] == [float(b) / basin.max() for b in basin]
 
     def test_no_cluster_kept_warns_once(self, tmp_path, monkeypatch, caplog):
         # the default scene's two modes each own fewer than 100000 pixels
@@ -479,6 +478,20 @@ class TestPipeline:
             f"the mean-shift merge joined {4 - clusters} confirmed capture groups "
             "to another group's mode"
         ]
+
+    @pytest.mark.parametrize("scene", [
+        # dense-128: four stripes at 128x128
+        {"width": 128, "height": 128, "num_instances": 4, "layout": "parallel_stripes",
+         "seed": 1000},
+        {"num_instances": 3, "seed": 3},
+    ], ids=["dense-128", "three-64"])
+    def test_every_clean_instance_is_recalled(self, tmp_path, scene):
+        # each box is scored by its pixels over the largest instance's, so on
+        # a clean scene no instance falls below recall_score_threshold
+        cfg = _write_config(tmp_path, {"scene": scene, "optimizer": {"seed": scene["seed"]}})
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        detection = json.loads((tmp_path / "run" / "metrics.json").read_text())["detection"]
+        assert (detection["map_50_95"], detection["recall"]) == (1.0, 1.0)
 
     @staticmethod
     def _run_in_subprocess(cfg, out, **env):

@@ -789,6 +789,15 @@ class TestFlattenForeground:
         x = flatten_foreground(EmbeddingField(np.full((2, 2, 2), 1e-11)), _full_mask(2, 2), 0.5)
         np.testing.assert_allclose(x, np.tile(_lifted([1e-11, 1e-11], 0.5), (4, 1)), rtol=1e-15)
 
+    def test_overflowing_vector_raises(self):
+        # |v|^2 = 8e308 overflows; scaling by an infinite norm would give
+        # rows of norm 0, and no cluster
+        emb = EmbeddingField(np.full((4, 4, 8), 1e154))
+        with pytest.raises(DegenerateVector, match="overflows"):
+            flatten_foreground(emb, _full_mask(4, 4))
+        with pytest.raises(DegenerateVector):
+            cluster_field(emb, _full_mask(4, 4), VmfConfig())
+
     def test_zero_vector_outside_mask_ignored(self):
         v = np.ones((2, 2, 3))
         v[0, 1] = 0.0
@@ -888,6 +897,20 @@ class TestCaptureFold:
         assert search.capture_groups == 2 - refused
         assert search.unconfirmed_groups == refused
         assert search.merged_captures == 0
+
+    @pytest.mark.parametrize("spread, separation, origin, stride, clusters", [
+        # The 2-sweep budget captures one blob, and its group holds one seed.
+        (0.05, 3.5, 1.0, 200, 2),
+        (0.03, 0.9, 0.5, 300, 1),
+    ])
+    def test_no_group_tried_is_the_all_seeds_search(self, spread, separation, origin, stride,
+                                                    clusters):
+        # With no group of two or more seeds no fold is tried, no check row is
+        # shifted, and every seed is shifted on its own.
+        emb, mask = _two_blobs(spread, separation, origin)
+        result, search = self._check(emb, mask, VmfConfig(seed_stride=stride))
+        assert result.num_clusters == clusters
+        assert (search.capture_groups, search.unconfirmed_groups) == (1, 0)
 
     @pytest.mark.parametrize("width, instances, layout, seed, cfg", [
         # dense-128 and staged-96 at benchmark seed 1
