@@ -16,6 +16,7 @@ stderr log level; the default is error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -121,6 +122,8 @@ def _cluster_stage(emb: EmbeddingField, mask: BinaryMask, cfg: RunConfig, out: P
             "unconfirmed_groups": search.unconfirmed_groups,
             "capture_sweeps": search.capture_sweeps,
             "merged_captures": search.merged_captures,
+            "passes": search.passes,
+            "row_updates": search.row_updates,
         },
     )
     if search.unconverged_seeds:
@@ -249,6 +252,9 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> None:
     _eval_stage(pairs, cfg, out)
 
 
+# Built on first use and kept: each parse_args call fills a fresh namespace
+# and leaves the parser as it was, so every command in a process shares one.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="instance-embed",
@@ -303,8 +309,7 @@ def main(argv=None) -> int:
         logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(_LOG_LEVELS[level_name])
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config) if args.config else default_run_config()
         if getattr(args, "seed", None) is not None:

@@ -162,8 +162,30 @@ def _pull_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
     return l_var, means, np.multiply(diff, ratio[:, None], out=diff)
 
 
-def _mean_terms(means: np.ndarray, counts: np.ndarray, cfg: DiscriminativeConfig,
-                l_var: float, table: np.ndarray | None = None) -> LossBreakdown:
+@dataclass(frozen=True)
+class _MeanConstants:
+    """The factors of _mean_terms that only the instance sizes and the config set.
+
+    A descent builds them once and reuses them on every step.
+    """
+
+    cfg: DiscriminativeConfig
+    pairs: int  # C*(C-1), the ordered pairs of instances
+    reach: float  # 2*delta_d, where the push hinge turns off
+    push: np.ndarray | None  # (C, 1) 4*beta/(C*(C-1)*n_c); None for one instance
+    reg: np.ndarray  # (C,) gamma/(C*n_c)
+
+
+def _mean_constants(counts: np.ndarray, cfg: DiscriminativeConfig) -> _MeanConstants:
+    """The _mean_terms factors of instances of the given (C,) pixel counts."""
+    c = counts.size
+    pairs = c * (c - 1)
+    push = (4.0 * cfg.beta / (pairs * counts))[:, None] if c > 1 else None
+    return _MeanConstants(cfg, pairs, 2.0 * cfg.delta_d, push, cfg.gamma / (c * counts))
+
+
+def _mean_terms(means: np.ndarray, consts: _MeanConstants, l_var: float,
+                table: np.ndarray | None = None) -> LossBreakdown:
     """The breakdown with the given l_var; l_dist and l_reg read the (C, D) means alone.
 
     A (C, D) table given gains, in place, the push and regularizer terms of
@@ -171,41 +193,47 @@ def _mean_terms(means: np.ndarray, counts: np.ndarray, cfg: DiscriminativeConfig
     the same for every row of an instance, and the pull rows sum to zero
     over it, so a table of zeros that gains them is the direction in which
     a step along the whole gradient moves each instance mean.
-    """
-    c = counts.size
-    l_dist = 0.0
-    # Overflowed means give inf or nan here, in the terms and in the table
-    # alike, and then the breakdown is not finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if c > 1:
-            gram = means @ means.T
-            sq = np.diag(gram)
-            sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
-            h = np.maximum(2.0 * cfg.delta_d - sep, 0.0)
-            np.fill_diagonal(h, 0.0)
-            l_dist = float((h * h).sum() / (c * (c - 1)))
-            if table is not None:
-                # push coefficients [2*delta_d - s_AB]+ / s_AB, zero where the hinge is off
-                with np.errstate(divide="ignore"):
-                    coef = np.where((h > 0.0) & (sep > 0.0), h / sep, 0.0)
-                acc = coef.sum(axis=1)[:, None] * means - coef @ means
-                table -= (4.0 * cfg.beta / (c * (c - 1) * counts))[:, None] * acc
 
-        norms = np.sqrt(np.einsum("ij,ij->i", means, means))
-        l_reg = float(norms.mean())
+    Overflowed means give inf or nan here, in the terms and in the table
+    alike, and then the breakdown is not finite. Callers run this under
+    _mean_errstate(), so that they raise no warning; a descent enters it
+    once per step.
+    """
+    cfg = consts.cfg
+    l_dist = 0.0
+    if consts.push is not None:
+        gram = means @ means.T
+        sq = gram.diagonal()
+        sep = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0))
+        h = np.maximum(consts.reach - sep, 0.0)
+        h.flat[::h.shape[0] + 1] = 0.0
+        l_dist = float(np.add.reduce(h * h, axis=None) / consts.pairs)
         if table is not None:
-            reg = np.divide(cfg.gamma / (c * counts), norms, out=np.zeros_like(norms),
-                            where=norms > 0.0)
-            table += reg[:, None] * means
+            # push coefficients [2*delta_d - s_AB]+ / s_AB, zero where the hinge is off
+            coef = np.divide(h, sep, out=np.zeros_like(h), where=(h > 0.0) & (sep > 0.0))
+            acc = np.add.reduce(coef, axis=1)[:, None] * means - coef @ means
+            table -= consts.push * acc
+
+    norms = np.sqrt(np.einsum("ij,ij->i", means, means))
+    l_reg = float(np.add.reduce(norms) / norms.size)
+    if table is not None:
+        reg = np.divide(consts.reg, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        table += reg[:, None] * means
 
     total = cfg.alpha * l_var + cfg.beta * l_dist + cfg.gamma * l_reg
     return LossBreakdown(l_var, l_dist, l_reg, float(total))
 
 
+def _mean_errstate():
+    """The error state _mean_terms runs under."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _loss_terms(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig) -> LossBreakdown:
     """The three loss terms of the (n, D) foreground rows."""
     l_var, means = _pull_terms(pts, plan, cfg)[:2]
-    return _mean_terms(means, plan.counts, cfg, l_var)
+    with _mean_errstate():
+        return _mean_terms(means, _mean_constants(plan.counts, cfg), l_var)
 
 
 def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig):
@@ -231,7 +259,8 @@ def _value_and_grad(pts: np.ndarray, plan: _LabelPlan, cfg: DiscriminativeConfig
     # the push and regularizer terms.
     a = 2.0 * cfg.alpha / (c * counts)
     table = (a / counts)[:, None] * _segment_sum(plan, hd)
-    bd = _mean_terms(means, counts, cfg, l_var, table)
+    with _mean_errstate():
+        bd = _mean_terms(means, _mean_constants(counts, cfg), l_var, table)
     # hd becomes the gradient, one instance's rows at a time.
     for k, (start, stop) in enumerate(plan.spans):
         rows = hd[start:stop]

@@ -8,6 +8,8 @@ alone. So each step moves the (C, D) instance means as fixed-step gradient
 descent moves them, and each pixel by its pull hinge's Newton step less
 the instance's mean of that step, which leaves every mean in place; each
 instance's pixels then move by its mean's displacement at the end. The
+factors of the means' step that only the instance sizes and the loss
+config set are computed once per descent, not once per step. The
 field is returned as descended; clustering lifts each foreground row x to
 [x, delta_v] and then scales it to unit norm.
 """
@@ -24,6 +26,8 @@ from .losses import (
     DiscriminativeConfig,
     _gather,
     _instance_means,
+    _mean_constants,
+    _mean_errstate,
     _mean_terms,
     _plan_labels,
     _pull_terms,
@@ -136,29 +140,31 @@ def optimize_embeddings(
     step = opt_cfg.step_size * max(1.0, scale)
 
     tol = opt_cfg.loss_tolerance
+    consts = _mean_constants(plan.counts, loss_cfg)
     # The rows keep their instance means; these (C, D) copies descend.
     l_var, means, hd = _pull_terms(pts, plan, loss_cfg)
     start = means.copy()
+    direction = np.empty_like(means)
     breakdowns = []
     steps = pixel_steps = 0
     while True:
-        direction = np.zeros_like(means)
-        bd = _mean_terms(means, plan.counts, loss_cfg, l_var, direction)
-        if not bd.finite():
-            raise NonFiniteLoss(
-                f"loss diverged after {steps} steps; reduce step_size" if steps
-                else "loss is not finite at initialization"
-            )
-        breakdowns.append(bd)
-        separated = tol > 0.0 and loss_cfg.alpha * l_var + loss_cfg.beta * bd.l_dist <= tol
-        if separated or steps == opt_cfg.max_steps:
-            break
-        # An overflow here leaves inf or nan means, which raise below.
-        with np.errstate(over="ignore", invalid="ignore"):
+        direction.fill(0.0)
+        # An overflow here leaves inf or nan means and terms, which raise.
+        with _mean_errstate():
+            bd = _mean_terms(means, consts, l_var, direction)
+            if not bd.finite():
+                raise NonFiniteLoss(
+                    f"loss diverged after {steps} steps; reduce step_size" if steps
+                    else "loss is not finite at initialization"
+                )
+            breakdowns.append(bd)
+            separated = tol > 0.0 and loss_cfg.alpha * l_var + loss_cfg.beta * bd.l_dist <= tol
+            if separated or steps == opt_cfg.max_steps:
+                break
             direction *= step
             means -= direction
         steps += 1
-        if not np.all(np.isfinite(means)):
+        if not np.isfinite(means).all():
             raise NonFiniteLoss(f"embeddings diverged after {steps} steps; reduce step_size")
         # Until the pull is met to the tolerance's rounding level, each row
         # takes its pull's Newton step less the instance's mean of it. The

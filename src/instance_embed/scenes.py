@@ -85,6 +85,24 @@ def _split_slack(rng: np.random.Generator, slack: int, slots: int) -> list:
     return parts
 
 
+def _paint_runs(w: int, lo: np.ndarray, hi: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An (h, w) int64 canvas holding values[k] on columns [lo[k, y], hi[k, y]) of row y.
+
+    lo and hi are (K, h) with 0 <= lo <= hi <= w, and the K runs of a row
+    must not overlap; pixels outside every run are 0. Each run adds its
+    value at its first column and subtracts it just after its last in a
+    per-row difference array, and a cumulative sum along each row turns
+    that into the runs, so memory is O(h*w + K*h) whatever K is.
+    """
+    k, h = lo.shape
+    diff = np.zeros((h, w + 1), dtype=np.int64)
+    rows = np.broadcast_to(np.arange(h), (k, h))
+    value = np.broadcast_to(values[:, None], (k, h))
+    np.add.at(diff, (rows, lo), value)
+    np.add.at(diff, (rows, hi), -value)
+    return np.cumsum(diff[:, :w], axis=1)
+
+
 def gen_scene(cfg: SceneConfig) -> Scene:
     """Rasterize one scene; deterministic for a fixed config.
 
@@ -144,41 +162,28 @@ def gen_scene(cfg: SceneConfig) -> Scene:
             direction = 1 if int(rng.integers(0, 2)) else -1
             shifts = np.broadcast_to(direction * curve, (c, h)).copy()
 
-    labels = np.zeros((h, w), dtype=np.int64)
-    spans = np.zeros((c, h, 2), dtype=np.int64)  # [start, end) per band per row
-    for i in range(c):
-        s = starts[i] + shifts[i]
-        e = s + int(widths[i])
-        if s.min() < 0 or e.max() > w:
-            raise InfeasibleLayout("lateral shifts push a band outside the canvas")
-        spans[i, :, 0] = s
-        spans[i, :, 1] = e
-        for y in range(h):
-            labels[y, s[y] : e[y]] = i + 1
+    lo = np.asarray(starts)[:, None] + shifts  # (c, h) band start column per row
+    hi = lo + widths[:, None]  # (c, h) band end column per row, exclusive
+    if lo.min() < 0 or hi.max() > w:
+        raise InfeasibleLayout("lateral shifts push a band outside the canvas")
+    labels = _paint_runs(w, lo, hi, np.arange(1, c + 1))
 
-    lanes = np.zeros((h, w), dtype=np.uint8)
-    lt = cfg.lane_thickness
-
-    def draw_lane(lo: np.ndarray, hi: np.ndarray):
-        # vertical line centered in the per-row empty span [lo, hi)
-        for y in range(h):
-            room = int(hi[y] - lo[y])
-            if room < 1:
-                continue
-            width_here = min(lt, room)
-            start = int(lo[y]) + (room - width_here) // 2
-            lanes[y, start : start + width_here] = 1
-
+    # one lane per empty span between bands, or beside a lone band; each
+    # lane is a vertical line of up to lane_thickness columns, centred in
+    # its span on every row
     if c > 1:
-        for i in range(c - 1):
-            draw_lane(spans[i, :, 1], spans[i + 1, :, 0])
+        gap_lo, gap_hi = hi[:-1], lo[1:]
     else:
-        draw_lane(np.zeros(h, dtype=np.int64), spans[0, :, 0])
-        draw_lane(spans[0, :, 1], np.full(h, w, dtype=np.int64))
+        gap_lo = np.stack([np.zeros(h, dtype=np.int64), hi[0]])
+        gap_hi = np.stack([lo[0], np.full(h, w, dtype=np.int64)])
+    room = gap_hi - gap_lo
+    thick = np.minimum(room, cfg.lane_thickness)
+    lane_lo = gap_lo + (room - thick) // 2
+    lanes = _paint_runs(w, lane_lo, lane_lo + thick, np.ones(len(room), dtype=np.int64))
 
     return Scene(
         labels=LabelMap(labels),
         drivable_mask=BinaryMask((labels != 0).astype(np.uint8)),
-        lane_mask=BinaryMask(lanes),
+        lane_mask=BinaryMask(lanes.astype(np.uint8)),
         gt_boxes=label_boxes(labels),
     )

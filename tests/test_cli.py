@@ -12,7 +12,7 @@ import pytest
 from instance_embed import (
     Detection, DetectionSet, EmbeddingField, cluster_field, fileio, load_run_config,
 )
-from instance_embed.cli import main
+from instance_embed.cli import build_parser, main
 
 
 GEN_FILES = ["boxes.json", "drivable.pgm", "labels.pgm", "lanes.pgm", "scene.json"]
@@ -192,8 +192,10 @@ class TestCluster:
         assert set(doc) == {
             "num_clusters", "modes", "basin_pixels", "dropped_seeds", "unconverged_seeds",
             "capture_groups", "unconfirmed_groups", "capture_sweeps", "merged_captures",
+            "passes", "row_updates",
         }
         assert doc["num_clusters"] == len(doc["modes"]) == len(doc["basin_pixels"])
+        assert 1 <= doc["passes"] <= doc["row_updates"]
         if doc["num_clusters"]:
             assert np.linalg.norm(doc["modes"][0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -627,6 +629,27 @@ class TestPipeline:
             num_clusters = json.loads((whole / "modes.json").read_text())["num_clusters"]
             assert len(boxes) == num_clusters
             assert (num_clusters > 0) == expect_boxes
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_share_no_arguments(self, tmp_path):
+        # --seed 5 and a rejected argv leave nothing behind in the shared
+        # parser: the next call without --seed runs at the config's seed
+        cfg = _write_config(tmp_path, {"scene": {"seed": 9}, "optimizer": {"seed": 9}})
+        assert main(["gen", "--config", cfg, "--seed", "9", "--out", str(tmp_path / "want")]) == 0
+        assert main(["gen", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "five")]) == 0
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--config", cfg, "--seed", "6", "--labels", "x.pgm"])
+        assert exc.value.code == 2
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        want = _dir_bytes(tmp_path / "want", GEN_FILES)
+        assert _dir_bytes(tmp_path / "five", GEN_FILES) != want
+        assert _dir_bytes(tmp_path / "a", GEN_FILES) == want
+        assert _dir_bytes(tmp_path / "b", GEN_FILES) == want
 
 
 class TestErrorPaths:

@@ -77,6 +77,7 @@ MUTATIONS = (_flip, _truncate, _append, _duplicate, _json_char)
 MODES_KEYS = {
     "num_clusters", "modes", "basin_pixels", "dropped_seeds", "unconverged_seeds",
     "capture_groups", "unconfirmed_groups", "capture_sweeps", "merged_captures",
+    "passes", "row_updates",
 }
 
 

@@ -289,6 +289,21 @@ class TestStopping:
             optimize_embeddings(scene.labels, 8, DiscriminativeConfig(),
                                 OptimizerConfig(step_size=1e308))
 
+    @pytest.mark.parametrize("step_size", [40.0, 1e308])
+    def test_error_state_is_restored(self, step_size):
+        # the means step runs under its own np.errstate; the caller's state,
+        # here one that raises on every float error, holds before and after
+        # it, also when the step overflows and the descent raises
+        scene = gen_scene(SceneConfig())
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            before = np.geterr()
+            try:
+                optimize_embeddings(scene.labels, 8, DiscriminativeConfig(),
+                                    OptimizerConfig(step_size=step_size))
+            except NonFiniteLoss:
+                assert step_size == 1e308
+            assert np.geterr() == before
+
     def test_large_step_stays_finite_and_recovers_instances(self):
         # the pull runs at a fixed rate whatever step_size is, so a huge step
         # only throws the two means far apart

@@ -104,6 +104,53 @@ class TestLanes:
         assert runs.max() <= 2
 
 
+def _loop_raster(labels: np.ndarray, lane_thickness: int):
+    """Per-row loop reference: each band's run in every row, then the lanes.
+
+    The bands are read back from the scene's labels, redrawn one row slice
+    at a time, and each lane is centred in the empty span between
+    neighbouring bands (or beside a lone band) as a per-row slice.
+    """
+    h, w = labels.shape
+    c = int(labels.max())
+    spans = np.zeros((c, h, 2), dtype=np.int64)
+    redrawn = np.zeros_like(labels)
+    for i in range(c):
+        hits = labels == i + 1
+        spans[i, :, 0] = np.argmax(hits, axis=1)
+        spans[i, :, 1] = w - np.argmax(hits[:, ::-1], axis=1)
+        for y in range(h):
+            redrawn[y, spans[i, y, 0]:spans[i, y, 1]] = i + 1
+    lanes = np.zeros((h, w), dtype=np.uint8)
+    gaps = [(spans[i, :, 1], spans[i + 1, :, 0]) for i in range(c - 1)] or [
+        (np.zeros(h, dtype=np.int64), spans[0, :, 0]),
+        (spans[0, :, 1], np.full(h, w, dtype=np.int64)),
+    ]
+    for lo, hi in gaps:
+        for y in range(h):
+            room = int(hi[y] - lo[y])
+            if room < 1:
+                continue
+            width = min(lane_thickness, room)
+            start = int(lo[y]) + (room - width) // 2
+            lanes[y, start:start + width] = 1
+    return redrawn, lanes
+
+
+class TestRasterReference:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("c, width, gap, thickness", [
+        (1, 64, 3, 2), (1, 9, 1, 4), (2, 64, 1, 1), (3, 33, 2, 5), (6, 128, 3, 2),
+    ])
+    def test_matches_per_row_loop(self, layout, c, width, gap, thickness):
+        for seed in range(4):
+            scene = gen_scene(SceneConfig(width=width, height=40, num_instances=c, layout=layout,
+                                          gap_pixels=gap, lane_thickness=thickness, seed=seed))
+            labels, lanes = _loop_raster(scene.labels.values, thickness)
+            np.testing.assert_array_equal(scene.labels.values, labels)
+            np.testing.assert_array_equal(scene.lane_mask.values, lanes)
+
+
 class TestLayoutShapes:
     def test_parallel_bands_are_straight(self):
         scene = gen_scene(SceneConfig(num_instances=3, layout="parallel_stripes", seed=9))
